@@ -41,6 +41,17 @@ class BinaryMask:
         return self.bits.shape[0]
 
 
+def check_params(alpha: float, threshold: float, warmup: int) -> None:
+    """Raise ConfigError unless 0 < alpha < 1, 0 < threshold <= 255 and
+    warmup >= 0; the chained comparisons are false for nan and infinities."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0,1), got {alpha}")
+    if not 0.0 < threshold <= 255.0:
+        raise ConfigError(f"threshold must be in (0,255], got {threshold}")
+    if warmup < 0:
+        raise ConfigError(f"warmup must be >= 0, got {warmup}")
+
+
 class BackgroundModel:
     """Running-average intensity model for one frame stream.
 
@@ -51,12 +62,7 @@ class BackgroundModel:
 
     def __init__(self, first: Frame, alpha: float = DEFAULT_ALPHA,
                  threshold: float = DEFAULT_THRESHOLD, warmup: int = DEFAULT_WARMUP):
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0,1), got {alpha}")
-        if not 0.0 < threshold <= 255.0:
-            raise ConfigError(f"threshold must be in (0,255], got {threshold}")
-        if warmup < 0:
-            raise ConfigError(f"warmup must be >= 0, got {warmup}")
+        check_params(alpha, threshold, warmup)
         self.width = first.width
         self.height = first.height
         self.alpha = float(alpha)

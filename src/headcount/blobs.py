@@ -1,16 +1,23 @@
 """Connected-component blob extraction and head-shaped keypoint filtering.
 
-Foreground components are labeled with a two-pass union-find over row runs,
-measured (area, perimeter, centroid, convex hull, second moments), scored with
-the usual shape metrics (circularity, convexity, inertia ratio), and filtered
-to the round compact blobs a head produces. Coordinates are (x, y) with x the
-column and y the row.
+Foreground is split into horizontal row runs, and a two-pass union-find over
+those runs groups them into connected components. The run table (row, start
+column, exclusive end column and component of every run) is the labeling:
+nothing per pixel is built unless a caller asks for the label image. Each
+component is measured from its own runs only (area, centroid and second
+moments in closed form, the convex hull from the end pixels of each run, the
+boundary length from a bounding-box crop), so detection cost grows with the
+number of runs rather than with components times frame area. Components are
+scored with the usual shape metrics (circularity, convexity, inertia ratio)
+and filtered to the round compact blobs a head produces. Coordinates are
+(x, y) with x the column and y the row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -23,19 +30,48 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(eq=False)
 class ComponentLabels:
-    """Per-pixel component ids: 0 = background, 1..count = components in
-    raster-scan first-encounter order."""
+    """Connected components of a mask as a table of horizontal runs.
 
-    labels: np.ndarray
+    Run ``i`` covers row ``srow[i]``, columns ``scol[i]`` up to but excluding
+    ``ecol[i]``, and belongs to component ``run_component[i]``. Runs are in
+    raster order; components are numbered 1..count in the raster order of
+    their first run, so equal masks always give identical tables.
+    """
+
+    width: int
+    height: int
+    srow: np.ndarray
+    scol: np.ndarray
+    ecol: np.ndarray
+    run_component: np.ndarray
     count: int
 
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Per-pixel component ids, 0 = background; painted on first access."""
+        w = self.width
+        # +comp at each run start, -comp past each run end, then prefix-sum
+        delta = np.zeros(self.height * w + 1, dtype=np.int32)
+        delta[self.srow * w + self.scol] += self.run_component
+        delta[self.srow * w + self.ecol] -= self.run_component
+        return np.cumsum(delta[:-1], dtype=np.int32).reshape(self.height, w)
 
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
+    @cached_property
+    def _grouped(self) -> tuple[np.ndarray, np.ndarray]:
+        # run indices sorted by component (raster order kept within one
+        # component) and where each component's slice of them begins
+        order = np.argsort(self.run_component, kind="stable")
+        bounds = np.zeros(self.count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.run_component, minlength=self.count + 1)[1:],
+                  out=bounds[1:])
+        return order, bounds
+
+    def runs(self, component_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, start columns and exclusive end columns of one component's
+        runs, in raster order."""
+        order, bounds = self._grouped
+        idx = order[bounds[component_id - 1]:bounds[component_id]]
+        return self.srow[idx], self.scol[idx], self.ecol[idx]
 
 
 @dataclass(frozen=True)
@@ -98,30 +134,32 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabels
     Two passes over horizontal runs: the first unions runs of adjacent rows
     that touch under the given connectivity, the second resolves the
     equivalences and numbers components by the raster position of their first
-    run, so equal masks always produce identical label arrays.
+    run. Returns the run table; no per-pixel image is built.
     """
     if connectivity not in (4, 8):
         raise ConfigError(f"connectivity must be 4 or 8, got {connectivity}")
     bits = mask.bits
     h, w = bits.shape
 
-    ext = np.zeros((h, w + 2), dtype=np.int8)
+    ext = np.zeros((h, w + 2), dtype=bool)
     ext[:, 1:-1] = bits
-    edges = np.diff(ext, axis=1)
-    srow, scol = np.nonzero(edges == 1)    # run starts at scol
-    _, ecol = np.nonzero(edges == -1)      # exclusive run ends
+    # each row's value changes alternate: run start, exclusive run end, ...
+    srow, col = np.divmod(np.flatnonzero(ext[:, 1:] != ext[:, :-1]), w + 1)
+    srow, scol, ecol = srow[0::2], col[0::2], col[1::2]
     n_runs = len(srow)
-    if n_runs == 0:
-        return ComponentLabels(np.zeros((h, w), dtype=np.int32), 0)
 
     c0 = scol.tolist()
     c1 = ecol.tolist()
     parent = list(range(n_runs))
 
-    # first pass: union runs in vertically adjacent rows that touch
+    # first pass: union runs in vertically adjacent rows that touch; every
+    # pointer goes to a lower run index, so each root is its set's first run
     touch = 1 if connectivity == 8 else 0
-    row_starts = np.searchsorted(srow, np.arange(h + 1)).tolist()
-    for r in range(1, h):
+    row_starts = np.searchsorted(srow, np.arange(h + 1))
+    filled = row_starts[1:] > row_starts[:-1]
+    row_pairs = np.flatnonzero(filled[1:] & filled[:-1]) + 1
+    row_starts = row_starts.tolist()
+    for r in row_pairs.tolist():
         i, i_end = row_starts[r - 1], row_starts[r]
         j, j_end = row_starts[r], row_starts[r + 1]
         while i < i_end and j < j_end:
@@ -141,36 +179,27 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabels
             else:
                 j += 1
 
-    # second pass: resolve roots, number components in first-encounter order
-    component_of: dict[int, int] = {}
-    run_component = np.empty(n_runs, dtype=np.int32)
-    for i in range(n_runs):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        parent[i] = root
-        comp = component_of.get(root)
-        if comp is None:
-            comp = len(component_of) + 1
-            component_of[root] = comp
-        run_component[i] = comp
-
-    # paint runs: +comp at each start, -comp past each end, then prefix-sum
-    delta = np.zeros(h * w + 1, dtype=np.int32)
-    delta[srow * w + scol] += run_component
-    delta[srow * w + ecol] -= run_component
-    labels = np.cumsum(delta[:-1], dtype=np.int32).reshape(h, w)
-    return ComponentLabels(labels, len(component_of))
+    # second pass: resolve roots by pointer jumping, then number the roots
+    # in run order, which is the raster order of each component's first run
+    root = np.array(parent, dtype=np.int64)
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            break
+        root = up
+    is_root = root == np.arange(n_runs)
+    run_component = np.cumsum(is_root, dtype=np.int32)[root]
+    return ComponentLabels(w, h, srow, scol, ecol, run_component, int(is_root.sum()))
 
 
-def _perimeter_crofton(comp: np.ndarray) -> float:
+def _perimeter_crofton(p: np.ndarray) -> float:
     # Cauchy-Crofton over four line directions: boundary crossings along
-    # rows, columns and both diagonals, diagonal families spaced 1/sqrt(2)
-    p = np.pad(comp, 1).astype(np.int8)
-    n_h = int(np.abs(np.diff(p, axis=1)).sum())
-    n_v = int(np.abs(np.diff(p, axis=0)).sum())
-    n_d = int(np.abs(p[1:, 1:] - p[:-1, :-1]).sum())
-    n_d += int(np.abs(p[1:, :-1] - p[:-1, 1:]).sum())
+    # rows, columns and both diagonals, diagonal families spaced 1/sqrt(2);
+    # p is a boolean crop with a background border on every side
+    n_h = np.count_nonzero(p[:, 1:] != p[:, :-1])
+    n_v = np.count_nonzero(p[1:] != p[:-1])
+    n_d = np.count_nonzero(p[1:, 1:] != p[:-1, :-1])
+    n_d += np.count_nonzero(p[1:, :-1] != p[:-1, 1:])
     return math.pi / 8.0 * (n_h + n_v + n_d / _SQRT2)
 
 
@@ -214,36 +243,49 @@ def _hull_pixel_count(points: list[tuple[int, int]]) -> int:
 
 
 def measure(labels: ComponentLabels, component_id: int) -> BlobMeasurements:
-    """Measure one labeled component.
+    """Measure one labeled component from its runs alone.
 
     Raises NotFound for ids outside 1..count.
     """
     if not 1 <= component_id <= labels.count:
         raise NotFound(f"component {component_id} not in 1..{labels.count}")
-    ys, xs = np.nonzero(labels.labels == component_id)
-    area = len(xs)
+    rows, starts, ends = (a.tolist() for a in labels.runs(component_id))
+    y0, y1 = rows[0], rows[-1]
+    x0, x1 = min(starts), max(ends) - 1
 
-    # crop to the bounding box before boundary counting
-    y0, y1 = ys.min(), ys.max()
-    x0, x1 = xs.min(), xs.max()
-    comp = labels.labels[y0:y1 + 1, x0:x1 + 1] == component_id
-    perimeter = _perimeter_crofton(comp)
+    # exact integer sums over the pixels, in coordinates relative to the box
+    # corner (x0, y0); run [a, b] contributes sum x = (a+b)(b-a+1)/2 and
+    # sum x^2 = S(b) - S(a-1) with S(k) = k(k+1)(2k+1)/6
+    area = sx = sy = sxx = syy = sxy = 0
+    # the hull of a component is the hull of its run end pixels
+    points = []
+    crop = np.zeros((y1 - y0 + 3, x1 - x0 + 3), dtype=bool)
+    for y, s, e in zip(rows, starts, ends):
+        points += ((s, y), (e - 1, y))
+        y -= y0
+        a = s - x0
+        b = e - 1 - x0
+        n = b - a + 1
+        rx = (a + b) * n // 2
+        area += n
+        sx += rx
+        sy += y * n
+        sxx += (b * (b + 1) * (2 * b + 1) - (a - 1) * a * (2 * a - 1)) // 6
+        syy += y * y * n
+        sxy += y * rx
+        crop[y + 1, a + 1:b + 2] = True
 
-    xf = xs.astype(np.float64)
-    yf = ys.astype(np.float64)
-    cx = float(xf.mean())
-    cy = float(yf.mean())
-    mxx = float(np.mean((xf - cx) ** 2))
-    myy = float(np.mean((yf - cy) ** 2))
-    mxy = float(np.mean((xf - cx) * (yf - cy)))
-
-    hull_area = float(_hull_pixel_count(list(zip(xs.tolist(), ys.tolist()))))
+    # central moments as one exact integer ratio each: n*S_xy - S_x*S_y over n^2
+    nn = area * area
     return BlobMeasurements(
         area=area,
-        perimeter=perimeter,
-        centroid=(cx, cy),
-        hull_area=hull_area,
-        second_moments=(mxx, myy, mxy),
+        perimeter=_perimeter_crofton(crop),
+        # one rounding of the exact coordinate sum, as a mean over pixels gives
+        centroid=((x0 * area + sx) / area, (y0 * area + sy) / area),
+        hull_area=float(_hull_pixel_count(points)),
+        second_moments=((area * sxx - sx * sx) / nn,
+                        (area * syy - sy * sy) / nn,
+                        (area * sxy - sx * sy) / nn),
     )
 
 
@@ -293,11 +335,11 @@ def detect_blobs(mask: BinaryMask, params: Optional[BlobFilterParams] = None,
     if max_area is None:
         max_area = (mask.width * mask.height) // 4
 
-    areas = np.bincount(labels.labels.ravel(), minlength=labels.count + 1)
+    areas = np.bincount(labels.run_component, weights=labels.ecol - labels.scol,
+                        minlength=labels.count + 1)
+    candidates = np.flatnonzero((areas >= params.min_area) & (areas <= max_area))
     keypoints = []
-    for cid in range(1, labels.count + 1):
-        if not params.min_area <= areas[cid] <= max_area:
-            continue
+    for cid in candidates.tolist():
         m = measure(labels, cid)
         try:
             circ = circularity(m)

@@ -50,7 +50,10 @@ _DEFAULTS = {
 
 def _parse_lines(text) -> LinePair:
     if isinstance(text, (list, tuple)):
+        # a JSON list must hold integers; int() would truncate 40.5 to 40
         parts = list(text)
+        if not all(type(p) is int for p in parts):
+            raise ConfigError(f"lines must be two integers, got {text!r}")
     else:
         parts = str(text).split(",")
     if len(parts) != 2:
@@ -65,9 +68,12 @@ def _parse_lines(text) -> LinePair:
 def _parse_geometry(text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
-        return int(w), int(h)
+        w, h = int(w), int(h)
     except ValueError:
         raise ConfigError(f"geometry must be WxH, got {text!r}") from None
+    if w < 1 or h < 1:
+        raise ConfigError(f"geometry must be positive, got {text!r}")
+    return w, h
 
 
 def _load_json(path) -> dict:
@@ -101,6 +107,20 @@ def _effective_settings(args) -> dict:
     return settings
 
 
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number"}
+
+
+def _typed(settings: dict, key: str, kind: type):
+    """settings[key] if it has the JSON type ``kind``: booleans are never
+    numbers, and an integer is accepted where a number is asked for."""
+    value = settings[key]
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def _build_config(settings: dict) -> PipelineConfig:
     if settings["lines"] is None:
         raise ConfigError("counting lines are required (--lines Y1,Y2)")
@@ -108,26 +128,27 @@ def _build_config(settings: dict) -> PipelineConfig:
     if not isinstance(lines, LinePair):
         lines = _parse_lines(lines)
     blob = BlobFilterParams(
-        min_area=int(settings["min_area"]),
-        max_area=None if settings["max_area"] is None else int(settings["max_area"]),
-        min_circularity=float(settings["min_circularity"]),
-        min_convexity=float(settings["min_convexity"]),
-        min_inertia_ratio=float(settings["min_inertia"]),
+        min_area=_typed(settings, "min_area", int),
+        max_area=(None if settings["max_area"] is None
+                  else _typed(settings, "max_area", int)),
+        min_circularity=_typed(settings, "min_circularity", float),
+        min_convexity=_typed(settings, "min_convexity", float),
+        min_inertia_ratio=_typed(settings, "min_inertia", float),
     )
     tracker = TrackerConfig(
-        max_match_distance=float(settings["max_match_dist"]),
-        max_missed=int(settings["max_missed"]),
+        max_match_distance=_typed(settings, "max_match_dist", float),
+        max_missed=_typed(settings, "max_missed", int),
     )
     return PipelineConfig(
         lines=lines,
-        alpha=float(settings["alpha"]),
-        threshold=float(settings["threshold"]),
-        warmup=int(settings["warmup"]),
-        morph_radius=int(settings["morph_radius"]),
-        connectivity=int(settings["connectivity"]),
+        alpha=_typed(settings, "alpha", float),
+        threshold=_typed(settings, "threshold", float),
+        warmup=_typed(settings, "warmup", int),
+        morph_radius=_typed(settings, "morph_radius", int),
+        connectivity=_typed(settings, "connectivity", int),
         blob=blob,
         tracker=tracker,
-        invert_direction=bool(settings["invert_direction"]),
+        invert_direction=_typed(settings, "invert_direction", bool),
     )
 
 

@@ -150,6 +150,9 @@ def open_sequence(spec: SequenceSpec) -> Iterator[Frame]:
 
     if spec.width is None or spec.height is None:
         raise ConfigError("raw sequences need explicit width and height")
+    if spec.width < 1 or spec.height < 1:
+        raise ConfigError(f"raw frame geometry must be positive, "
+                          f"got {spec.width}x{spec.height}")
     frame_size = spec.width * spec.height
     total = src.stat().st_size
     if total % frame_size != 0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from .background import (DEFAULT_ALPHA, DEFAULT_THRESHOLD, DEFAULT_WARMUP,
-                         BackgroundModel, morph_open)
+                         BackgroundModel, check_params, morph_open)
 from .blobs import BlobFilterParams, BlobKeypoint, detect_blobs
 from .counting import Counters, CrossEvent, LinePair, advance, apply_event
 from .errors import ConfigError, EmptySequence, OrderError, ShapeError
@@ -37,6 +37,8 @@ class PipelineConfig:
     invert_direction: bool = False
 
     def __post_init__(self):
+        # checked here too so a bad value fails before any frame is read
+        check_params(self.alpha, self.threshold, self.warmup)
         if self.morph_radius < 0:
             raise ConfigError("morph_radius must be >= 0")
         if self.connectivity not in (4, 8):

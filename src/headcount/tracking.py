@@ -23,8 +23,10 @@ class TrackerConfig:
     max_missed: int = 5
 
     def __post_init__(self):
-        if self.max_match_distance <= 0:
-            raise ConfigError("max_match_distance must be > 0")
+        # nan would pass a <= 0 test and then match nothing
+        if not (math.isfinite(self.max_match_distance) and self.max_match_distance > 0):
+            raise ConfigError(f"max_match_distance must be finite and > 0, "
+                              f"got {self.max_match_distance}")
         if self.max_missed < 0:
             raise ConfigError("max_missed must be >= 0")
 

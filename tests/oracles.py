@@ -3,12 +3,15 @@
 Everything here is deliberately written with different algorithms than the
 package (flood fill instead of run-based union-find, brute-force window scans
 instead of vectorized morphology, string search instead of a per-frame state
-machine) so agreement between the two is meaningful.
+machine, full-frame scans and every-pixel hulls instead of run tables) so
+agreement between the two is meaningful.
 """
 
 import math
 
 import numpy as np
+
+from headcount import BlobMeasurements
 
 
 def flood_fill_labels(bits: np.ndarray, connectivity: int) -> np.ndarray:
@@ -161,3 +164,65 @@ def midpoint_circle_points(radius: int) -> set:
         for px, py in ((x, y), (y, x)):
             pts.update({(px, py), (-px, py), (px, -py), (-px, -py)})
     return pts
+
+
+def crofton_perimeter(comp: np.ndarray) -> float:
+    """Cauchy-Crofton boundary length of a boolean crop: boundary crossings
+    along rows, columns and both diagonals, diagonal families spaced
+    1/sqrt(2)."""
+    p = np.pad(comp, 1).astype(np.int8)
+    n_h = int(np.abs(np.diff(p, axis=1)).sum())
+    n_v = int(np.abs(np.diff(p, axis=0)).sum())
+    n_d = int(np.abs(p[1:, 1:] - p[:-1, :-1]).sum())
+    n_d += int(np.abs(p[1:, :-1] - p[:-1, 1:]).sum())
+    return math.pi / 8.0 * (n_h + n_v + n_d / math.sqrt(2.0))
+
+
+def hull_pixel_count(points: list) -> int:
+    """Pixels covered by the convex hull of integer (x, y) points, 0 when
+    they are collinear: Andrew's monotone chain with strict turns, then the
+    shoelace area plus Pick's theorem (covered = area + boundary/2 + 1)."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return 0
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    hull = []
+    for chain in (pts, pts[::-1]):
+        base = len(hull)
+        for p in chain:
+            while len(hull) - base >= 2 and cross(hull[-2], hull[-1], p) <= 0:
+                hull.pop()
+            hull.append(p)
+        hull.pop()
+    if len(hull) < 3:
+        return 0
+    twice_area = 0
+    boundary = 0
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]):
+        twice_area += x1 * y2 - x2 * y1
+        boundary += math.gcd(abs(x2 - x1), abs(y2 - y1))
+    return (abs(twice_area) + boundary + 2) // 2
+
+
+def measure_fullframe(labels, component_id: int) -> BlobMeasurements:
+    """Measure one component by scanning the whole painted label image and
+    taking float means and the hull over every one of its pixels."""
+    ys, xs = np.nonzero(labels.labels == component_id)
+    area = len(xs)
+    y0, y1 = ys.min(), ys.max()
+    x0, x1 = xs.min(), xs.max()
+    perimeter = crofton_perimeter(labels.labels[y0:y1 + 1, x0:x1 + 1] == component_id)
+    # float sums of integers stay exact, so the means are correctly rounded
+    dx = xs - float(xs.sum()) / area
+    dy = ys - float(ys.sum()) / area
+    return BlobMeasurements(
+        area=area,
+        perimeter=perimeter,
+        centroid=(float(xs.sum()) / area, float(ys.sum()) / area),
+        hull_area=float(hull_pixel_count(list(zip(xs.tolist(), ys.tolist())))),
+        second_moments=(float(dx @ dx) / area, float(dy @ dy) / area,
+                        float(dx @ dy) / area),
+    )

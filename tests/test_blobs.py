@@ -8,7 +8,8 @@ from headcount import (BinaryMask, BlobFilterParams, BlobMeasurements,
                        label_components, measure)
 from headcount.errors import ConfigError, DegenerateBlob, NotFound
 
-from oracles import disk_mask, disk_pixel_count, flood_fill_labels
+import headcount.blobs
+from oracles import disk_mask, disk_pixel_count, flood_fill_labels, measure_fullframe
 
 
 def mask_of(bits):
@@ -111,6 +112,110 @@ def test_measure_invalid_id():
         measure(labels, 2)
     with pytest.raises(NotFound):
         measure(labels, 0)
+
+
+# ------------------------------------------- run-based measure vs oracle
+
+def assert_same_measurements(got, want):
+    assert got.area == want.area
+    assert got.perimeter == want.perimeter
+    assert got.hull_area == want.hull_area
+    assert got.centroid == want.centroid
+    scale = max(want.second_moments[0], want.second_moments[1])
+    for g, w in zip(got.second_moments, want.second_moments):
+        assert abs(g - w) <= 1e-12 * scale
+
+
+def assert_same_keypoints(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.centroid, g.diameter_s, g.circularity, g.convexity) == \
+            (w.centroid, w.diameter_s, w.circularity, w.convexity)
+        assert g.inertia_ratio == pytest.approx(w.inertia_ratio, rel=1e-12, abs=1e-12)
+
+
+def detect_recorded(monkeypatch, measure_fn, mask, params, connectivity=8):
+    """detect_blobs with ``measure_fn`` in place of measure; returns the
+    keypoints and every measurement taken, by component id."""
+    measured = {}
+
+    def recording(labels, cid):
+        measured[cid] = measure_fn(labels, cid)
+        return measured[cid]
+
+    with monkeypatch.context() as m:
+        m.setattr(headcount.blobs, "measure", recording)
+        return detect_blobs(mask, params, connectivity), measured
+
+
+def assert_detect_matches_oracle(monkeypatch, mask, params, connectivity=8):
+    got, got_m = detect_recorded(monkeypatch, measure, mask, params, connectivity)
+    want, want_m = detect_recorded(monkeypatch, measure_fullframe, mask, params,
+                                   connectivity)
+    assert_same_keypoints(got, want)
+    assert got_m.keys() == want_m.keys()
+    for cid, m in want_m.items():
+        assert_same_measurements(got_m[cid], m)
+    return got
+
+
+def many_disks_mask(rng, count=150):
+    bits = np.zeros((480, 640), dtype=bool)
+    yy, xx = np.ogrid[:480, :640]
+    for _ in range(count):
+        r = rng.uniform(2.0, 30.0)
+        cx, cy = rng.uniform(-10, 650), rng.uniform(-10, 490)
+        bits |= (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+    return bits
+
+
+def test_measure_matches_fullframe_oracle_on_random_masks(monkeypatch):
+    # the masks of the acceptance labeling suite; the every-pixel hull makes
+    # the oracle slow, so here only components of 10 or more pixels are
+    # compared, and the small-mask test below compares every component
+    rng = np.random.default_rng(20250811)
+    for _ in range(1000):
+        density = rng.uniform(0.1, 0.9)
+        mask = mask_of(rng.random((64, 64)) < density)
+        for conn in (4, 8):
+            assert_detect_matches_oracle(monkeypatch, mask, relaxed(min_area=10), conn)
+
+
+def test_measure_matches_fullframe_oracle_on_small_masks(rng):
+    for _ in range(200):
+        bits = rng.random((16, 16)) < rng.uniform(0.1, 0.9)
+        for conn in (4, 8):
+            labels = label_components(mask_of(bits), conn)
+            for cid in range(1, labels.count + 1):
+                assert_same_measurements(measure(labels, cid),
+                                         measure_fullframe(labels, cid))
+
+
+def test_measure_matches_fullframe_oracle_on_disks():
+    for radius in range(5, 31):
+        for center in (None, (radius + 3.5, radius + 3.25)):
+            labels = label_components(BinaryMask(disk_mask(radius, center=center)), 8)
+            assert labels.count == 1
+            assert_same_measurements(measure(labels, 1), measure_fullframe(labels, 1))
+
+
+def test_detect_matches_fullframe_oracle_on_many_disks(monkeypatch):
+    mask = BinaryMask(many_disks_mask(np.random.default_rng(11)))
+    for params in (BlobFilterParams(), relaxed()):
+        assert len(assert_detect_matches_oracle(monkeypatch, mask, params)) > 20
+
+
+def test_label_image_is_painted_from_runs_on_demand(rng):
+    bits = rng.random((24, 40)) < 0.4
+    labels = label_components(mask_of(bits), 8)
+    assert "labels" not in vars(labels)
+    image = labels.labels
+    assert labels.labels is image
+    for cid in range(1, labels.count + 1):
+        rows, starts, ends = labels.runs(cid)
+        assert int((ends - starts).sum()) == int((image == cid).sum())
+        for y, s, e in zip(rows, starts, ends):
+            assert (image[y, s:e] == cid).all()
 
 
 # ------------------------------------------------------------ shape metrics
@@ -306,3 +411,11 @@ def test_filter_params_validation():
         BlobFilterParams(min_circularity=1.5)
     with pytest.raises(ConfigError):
         BlobFilterParams(min_area=100, max_area=50)
+
+
+@pytest.mark.parametrize("name", ["min_circularity", "min_convexity",
+                                  "min_inertia_ratio"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_filter_params_reject_non_finite(name, value):
+    with pytest.raises(ConfigError):
+        BlobFilterParams(**{name: value})

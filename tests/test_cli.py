@@ -216,6 +216,85 @@ def test_count_unknown_config_key(tmp_path, capsys):
     assert "sigma" in err
 
 
+def test_count_config_boolean_must_be_json_boolean(tmp_path, capsys):
+    # "false" is a non-empty string, so bool() would read it as true and
+    # silently swap IN and OUT
+    out_dir = synth(tmp_path)
+    capsys.readouterr()
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"lines": [40, 80], "warmup": 15,
+                                "invert_direction": "false"}))
+    code, out, err = run_count(capsys, "--input", str(out_dir), "--config", str(conf))
+    assert code == 2
+    assert out == ""
+    assert "invert_direction" in err
+
+
+def test_count_config_json_boolean_accepted(tmp_path, capsys):
+    out_dir = synth(tmp_path)
+    capsys.readouterr()
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"lines": [40, 80], "warmup": 15,
+                                "invert_direction": True}))
+    code, out, _ = run_count(capsys, "--input", str(out_dir), "--config", str(conf))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["invert_direction"] is True
+    assert [e["direction"] for e in doc["events"]] == ["OUT", "IN"]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("min_area", "abc"), ("min_area", "80"), ("min_area", 80.5), ("min_area", True),
+    ("max_area", "big"), ("warmup", [15]), ("alpha", "0.05"), ("alpha", False),
+    ("max_match_dist", None), ("invert_direction", 0), ("invert_direction", "false"),
+    ("lines", [40.5, 80]), ("lines", ["40", 80]), ("lines", [True, 80]),
+])
+def test_count_config_wrong_type_is_config_error(tmp_path, capsys, key, value):
+    out_dir = synth(tmp_path)
+    capsys.readouterr()
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"lines": [40, 80], "warmup": 15, key: value}))
+    code, out, err = run_count(capsys, "--input", str(out_dir), "--config", str(conf))
+    assert code == 2
+    assert out == ""
+    assert key in err
+
+
+def test_count_config_integer_for_float_key_accepted(tmp_path, capsys):
+    out_dir = synth(tmp_path)
+    capsys.readouterr()
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"lines": [40, 80], "warmup": 15, "threshold": 30}))
+    code, out, _ = run_count(capsys, "--input", str(out_dir), "--config", str(conf))
+    assert code == 0
+    assert json.loads(out)["params"]["threshold"] == 30.0
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--threshold", "--min-circularity",
+                                  "--min-convexity", "--min-inertia",
+                                  "--max-match-dist"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_count_non_finite_float_is_config_error(tmp_path, capsys, flag, value):
+    out_dir = synth(tmp_path)
+    capsys.readouterr()
+    code, out, err = run_count(capsys, "--input", str(out_dir), *COUNT_FLAGS,
+                               f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("geometry", ["0x0", "0x120", "160x0", "-160x120"])
+def test_count_raw_geometry_must_be_positive(tmp_path, capsys, geometry):
+    raw = tmp_path / "frames.raw"
+    raw.write_bytes(bytes(160 * 120))
+    code, out, err = run_count(capsys, "--input", str(raw), f"--raw={geometry}",
+                               *COUNT_FLAGS)
+    assert code == 2
+    assert out == ""
+    assert "geometry" in err
+
+
 def test_count_stdout_is_single_json_document(tmp_path, capsys):
     out_dir = synth(tmp_path)
     capsys.readouterr()

@@ -122,6 +122,14 @@ def test_open_sequence_raw_needs_geometry(tmp_path):
         list(open_sequence(SequenceSpec(source=path)))
 
 
+@pytest.mark.parametrize("width,height", [(0, 48), (64, 0), (-64, 48), (0, 0)])
+def test_open_sequence_raw_geometry_must_be_positive(tmp_path, width, height):
+    path = tmp_path / "frames.raw"
+    path.write_bytes(bytes(64 * 48))
+    with pytest.raises(ConfigError):
+        list(open_sequence(SequenceSpec(source=path, width=width, height=height)))
+
+
 def test_frame_shape_validation():
     with pytest.raises(ValueError):
         Frame(width=4, height=4, index=0, pixels=np.zeros((4, 5), dtype=np.uint8))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from headcount import (ActorSpec, BlobFilterParams, CountingPipeline, Direction,
@@ -233,3 +235,11 @@ def test_params_snapshot_reflects_config():
     assert params["max_match_dist"] == 40.0
     assert params["max_missed"] == 3
     assert params["lines"] == [60, 100]
+
+
+@pytest.mark.parametrize("name", ["alpha", "threshold"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_background_params(name, value):
+    # rejected at construction, before a frame is read
+    with pytest.raises(ConfigError):
+        config(**{name: value})

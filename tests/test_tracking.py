@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,9 @@ def test_config_validation():
         TrackerConfig(max_match_distance=0.0)
     with pytest.raises(ConfigError):
         TrackerConfig(max_missed=-1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_match_distance(value):
+    with pytest.raises(ConfigError):
+        TrackerConfig(max_match_distance=value)
