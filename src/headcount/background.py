@@ -6,6 +6,10 @@ absolute difference from the estimate exceeds a fixed threshold. Moving
 objects are not masked out of the update; entrance scenes are background most
 of the time, so the estimate stays clean and the update stays a pure linear
 recurrence with a provable convergence rate.
+
+Both per-frame steps work in place: the model owns one float64 scratch buffer
+the size of a frame, so the only frame-sized array a frame allocates is its
+boolean mask.
 """
 
 from __future__ import annotations
@@ -56,8 +60,14 @@ class BackgroundModel:
     """Running-average intensity model for one frame stream.
 
     The estimate is kept in float64 so small learning rates do not stall on
-    integer quantization. One model per stream; it is single-owner mutable
-    state and not safe to share between concurrently processed streams.
+    integer quantization. Beside it the model owns a float64 scratch buffer of
+    the same shape, which ``update`` and ``subtract`` overwrite on every call;
+    neither step allocates a frame-sized temporary. The steps stay separate
+    and are not folded algebraically (``|f - e'| = (1-a)|f - e|`` rounds
+    differently), so the estimate and every mask are bit-identical to the
+    textbook formulas. One model per stream; it is single-owner mutable
+    state, scratch buffer included, and not safe to share between
+    concurrently processed streams.
     """
 
     def __init__(self, first: Frame, alpha: float = DEFAULT_ALPHA,
@@ -69,6 +79,7 @@ class BackgroundModel:
         self.threshold = float(threshold)
         self.warmup = int(warmup)
         self.estimate = first.pixels.astype(np.float64)
+        self._scratch = np.empty_like(self.estimate)
 
     def _check_geometry(self, frame: Frame) -> None:
         if (frame.height, frame.width) != (self.height, self.width):
@@ -78,20 +89,25 @@ class BackgroundModel:
             )
 
     def update(self, frame: Frame) -> "BackgroundModel":
-        """Blend the frame into the estimate: (1-alpha)*estimate + alpha*frame."""
+        """Blend the frame into the estimate: (1-alpha)*estimate + alpha*frame,
+        in place, with alpha*frame formed in the scratch buffer."""
         self._check_geometry(frame)
+        np.multiply(frame.pixels, self.alpha, out=self._scratch)
         self.estimate *= 1.0 - self.alpha
-        self.estimate += self.alpha * frame.pixels
+        self.estimate += self._scratch
         return self
 
     def subtract(self, frame: Frame) -> BinaryMask:
         """Foreground mask: |frame - estimate| > threshold, per pixel.
 
-        Computed unconditionally; during warmup (frame.index < warmup) the
-        caller is expected to discard the result.
+        The difference is taken in the scratch buffer; the returned mask is a
+        fresh array that shares memory with nothing the model keeps. Computed
+        unconditionally; during warmup (frame.index < warmup) the caller is
+        expected to discard the result.
         """
         self._check_geometry(frame)
-        diff = np.abs(frame.pixels.astype(np.float64) - self.estimate)
+        diff = np.subtract(frame.pixels, self.estimate, out=self._scratch)
+        np.abs(diff, out=diff)
         return BinaryMask(diff > self.threshold)
 
 

@@ -1,16 +1,19 @@
 """Connected-component blob extraction and head-shaped keypoint filtering.
 
-Foreground is split into horizontal row runs, and a two-pass union-find over
-those runs groups them into connected components. The run table (row, start
-column, exclusive end column and component of every run) is the labeling:
-nothing per pixel is built unless a caller asks for the label image. Each
-component is measured from its own runs only (area, centroid and second
-moments in closed form, the convex hull from the end pixels of each run, the
-boundary length from a bounding-box crop), so detection cost grows with the
-number of runs rather than with components times frame area. Components are
-scored with the usual shape metrics (circularity, convexity, inertia ratio)
-and filtered to the round compact blobs a head produces. Coordinates are
-(x, y) with x the column and y the row.
+Foreground is split into horizontal row runs. A vectorized overlap search
+(two binary searches per run over keyed run starts and ends) pairs every run
+with the runs it touches in the row above, and rounds of root hooking and
+pointer jumping merge those pairs into connected components, with no Python
+loop over runs. The run table (row, start column, exclusive end column and
+component of every run) is the labeling: nothing per pixel is built unless a
+caller asks for the label image. Each component is measured from its own
+runs only (area, centroid and second moments in closed form, the convex hull
+from the end pixels of each run, the boundary length from a bounding-box
+crop), so detection cost grows with the number of runs rather than with
+components times frame area. Components are scored with the usual shape
+metrics (circularity, convexity, inertia ratio) and filtered to the round
+compact blobs a head produces. Coordinates are (x, y) with x the column and
+y the row.
 """
 
 from __future__ import annotations
@@ -131,10 +134,16 @@ class BlobFilterParams:
 def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabels:
     """Label connected foreground regions.
 
-    Two passes over horizontal runs: the first unions runs of adjacent rows
-    that touch under the given connectivity, the second resolves the
-    equivalences and numbers components by the raster position of their first
-    run. Returns the run table; no per-pixel image is built.
+    The mask is split into horizontal runs. A vectorized overlap search finds
+    every pair of runs in adjacent rows that touch under the given
+    connectivity: with each run keyed by ``row*(w+2) + column``, two binary
+    searches give the contiguous range of runs in the row above that a run
+    touches. The pairs are then resolved in rounds: the larger of each
+    disagreeing pair's roots is hooked under the smaller, and pointer jumping
+    flattens every tree, until both runs of every pair share a root. Each
+    root is then its component's lowest run index, so numbering the roots in
+    run order numbers components by the raster position of their first run.
+    Returns the run table; no per-pixel image is built.
     """
     if connectivity not in (4, 8):
         raise ConfigError(f"connectivity must be 4 or 8, got {connectivity}")
@@ -148,45 +157,36 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabels
     srow, scol, ecol = srow[0::2], col[0::2], col[1::2]
     n_runs = len(srow)
 
-    c0 = scol.tolist()
-    c1 = ecol.tolist()
-    parent = list(range(n_runs))
-
-    # first pass: union runs in vertically adjacent rows that touch; every
-    # pointer goes to a lower run index, so each root is its set's first run
+    # run i in the row above touches run j when scol[i] < ecol[j] + touch and
+    # scol[j] < ecol[i] + touch; a row's runs are sorted and disjoint, so the
+    # runs j touches are contiguous. Keys are row*(w+2) + column: a query
+    # column lies in [-1, w+1], so every query stays inside the row above.
     touch = 1 if connectivity == 8 else 0
-    row_starts = np.searchsorted(srow, np.arange(h + 1))
-    filled = row_starts[1:] > row_starts[:-1]
-    row_pairs = np.flatnonzero(filled[1:] & filled[:-1]) + 1
-    row_starts = row_starts.tolist()
-    for r in row_pairs.tolist():
-        i, i_end = row_starts[r - 1], row_starts[r]
-        j, j_end = row_starts[r], row_starts[r + 1]
-        while i < i_end and j < j_end:
-            ei, ej = c1[i], c1[j]
-            if c0[i] < ej + touch and c0[j] < ei + touch:
-                ri = i
-                while parent[ri] != ri:
-                    ri = parent[ri]
-                rj = j
-                while parent[rj] != rj:
-                    rj = parent[rj]
-                root = ri if ri < rj else rj
-                parent[ri] = parent[rj] = parent[i] = parent[j] = root
-            # the run ending first cannot touch anything further right
-            if ei <= ej:
-                i += 1
-            else:
-                j += 1
+    base = (srow - 1) * (w + 2)
+    first = np.searchsorted(srow * (w + 2) + ecol, base + scol - touch, side="right")
+    stop = np.searchsorted(srow * (w + 2) + scol, base + ecol + touch, side="left")
+    n_above = np.maximum(stop - first, 0)
+    below = np.repeat(np.arange(n_runs), n_above)
+    offset = np.cumsum(n_above) - n_above
+    above = np.arange(len(below)) - np.repeat(offset - first, n_above)
 
-    # second pass: resolve roots by pointer jumping, then number the roots
-    # in run order, which is the raster order of each component's first run
-    root = np.array(parent, dtype=np.int64)
+    # every pointer goes to a lower run index, so the root of each tree is its
+    # lowest run; after the jumping every run points straight at its root
+    root = np.arange(n_runs)
     while True:
-        up = root[root]
-        if np.array_equal(up, root):
+        ra, rb = root[above], root[below]
+        split = ra != rb
+        if not split.any():
             break
-        root = up
+        ra, rb = ra[split], rb[split]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        above, below = above[split], below[split]
+
     is_root = root == np.arange(n_runs)
     run_component = np.cumsum(is_root, dtype=np.int32)[root]
     return ComponentLabels(w, h, srow, scol, ecol, run_component, int(is_root.sum()))

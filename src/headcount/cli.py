@@ -188,8 +188,6 @@ def cmd_synth(args) -> int:
     scene = SceneSpec.from_dict(doc)
     if args.seed is not None:
         scene.seed = args.seed
-    if scene.frames < 1:
-        raise ConfigError("scene must have at least 1 frame")
 
     lines = None
     if args.lines is not None:

@@ -33,12 +33,15 @@ class Direction(str, enum.Enum):
 
 @dataclass(frozen=True)
 class LinePair:
-    """The two counting rows; the IN line must lie above the OUT line."""
+    """The two counting rows; the IN line must lie above the OUT line, and
+    neither may lie above row 0, where zone A could never be reached."""
 
     line_in_y: int
     line_out_y: int
 
     def __post_init__(self):
+        if self.line_in_y < 0:
+            raise ConfigError(f"line_in_y must be >= 0, got {self.line_in_y}")
         if self.line_in_y >= self.line_out_y:
             raise ConfigError(
                 f"line_in_y ({self.line_in_y}) must be above "

@@ -8,6 +8,7 @@ by the caller.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TYPE_CHECKING
@@ -52,9 +53,9 @@ class Frame:
 class SequenceSpec:
     """Where a frame sequence lives and how to read it.
 
-    ``source`` is either a directory of ``.pgm`` files (frame order = sorted
-    zero-padded file names) or a raw file of concatenated frames, in which
-    case ``width`` and ``height`` are required. ``fps`` is carried as metadata
+    ``source`` is either a directory of ``.pgm`` files (frame order = file
+    names in natural order, see ``open_sequence``) or a raw file of
+    concatenated frames, in which case ``width`` and ``height`` are required. ``fps`` is carried as metadata
     only; nothing in the pipeline is time-based.
     """
 
@@ -129,19 +130,30 @@ def write_frame(frame: Frame, path) -> None:
     Path(path).write_bytes(header + frame.pixels.tobytes())
 
 
+def _natural_key(path: Path) -> tuple:
+    # digit groups compare as integers, so f2 precedes f10; the name itself
+    # breaks ties such as f1 and f01
+    parts = re.split(r"(\d+)", path.name)
+    parts[1::2] = map(int, parts[1::2])
+    return parts, path.name
+
+
 def open_sequence(spec: SequenceSpec) -> Iterator[Frame]:
     """Stream frames from a SequenceSpec, indices 0,1,2,... in order.
 
-    Directory sources yield their ``.pgm`` files in sorted-name order; raw
-    sources are split into width*height chunks. Raises EmptySequence when the
-    source holds no frames and TruncatedStream when a raw file's size is not
-    a multiple of the frame size.
+    Directory sources yield their ``.pgm`` files in natural name order, with
+    digit groups compared as numbers (``f2`` before ``f10``; zero-padded
+    names keep their lexicographic order); raw sources are split into
+    width*height chunks. Raises EmptySequence when the source holds no frames
+    and TruncatedStream when a raw file's size is not a multiple of the frame
+    size.
     """
     src = spec.source
     if not src.exists():
         raise FileNotFoundError(f"sequence source {src} does not exist")
     if src.is_dir():
-        paths = sorted(p for p in src.iterdir() if p.suffix.lower() == ".pgm")
+        paths = sorted((p for p in src.iterdir() if p.suffix.lower() == ".pgm"),
+                       key=_natural_key)
         if not paths:
             raise EmptySequence(f"no .pgm files in {src}")
         for i, p in enumerate(paths):

@@ -68,6 +68,9 @@ class SceneSpec:
     actors: list[ActorSpec] = field(default_factory=list)
 
     def __post_init__(self):
+        for name in ("width", "height", "frames"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"scene {name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.background_intensity <= 255:
             raise ConfigError("background_intensity must be in [0,255]")
         if self.noise_amplitude < 0:
@@ -140,9 +143,7 @@ def render_frame(spec: SceneSpec, index: int) -> Frame:
 
 
 def render_scene(spec: SceneSpec) -> Iterator[Frame]:
-    """Yield the scene's frames in order; raises ConfigError for zero frames."""
-    if spec.frames < 1:
-        raise ConfigError("scene must have at least 1 frame")
+    """Yield the scene's frames in order."""
     for i in range(spec.frames):
         yield render_frame(spec, i)
 

@@ -93,6 +93,14 @@ def subtract_bruteforce(frame: np.ndarray, estimate: np.ndarray,
     return out
 
 
+def background_step_reference(estimate: np.ndarray, pixels: np.ndarray,
+                              alpha: float) -> np.ndarray:
+    """One running-average step, (1-alpha)*estimate + alpha*frame, written
+    as the plain formula over fresh arrays: the same IEEE operations in the
+    same order as an in-place update, so the results must agree bit for bit."""
+    return estimate * (1.0 - alpha) + alpha * pixels.astype(np.float64)
+
+
 def scan_zone_events(zones: str) -> list:
     """Full-traversal events from a zone string, located by substring search:
     from an A (or B) origin, the event fires at the next occurrence of the

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from headcount import BackgroundModel, BinaryMask, morph_open
 from headcount.errors import ConfigError, ShapeError
 
 from conftest import make_frame, uniform_frame
-from oracles import dilate_bruteforce, erode_bruteforce, subtract_bruteforce
+from oracles import (background_step_reference, dilate_bruteforce, erode_bruteforce,
+                     subtract_bruteforce)
 
 
 def test_init_copies_first_frame():
@@ -118,6 +121,66 @@ def test_subtract_symmetric_in_roles(rng):
     forward = BackgroundModel(make_frame(a), threshold=30.0).subtract(make_frame(b))
     backward = BackgroundModel(make_frame(b), threshold=30.0).subtract(make_frame(a))
     assert np.array_equal(forward.bits, backward.bits)
+
+
+def noise_frames(rng, count, shape=(36, 48), level=100, amplitude=40):
+    for i in range(count):
+        noise = rng.integers(-amplitude, amplitude + 1, shape)
+        yield make_frame(level + noise, index=i)
+
+
+def test_estimate_and_masks_equal_reference_bit_for_bit(rng):
+    frames = list(noise_frames(rng, 101))
+    model = BackgroundModel(frames[0], alpha=0.02, threshold=38.0)
+    estimate = frames[0].pixels.astype(np.float64)
+    flagged = 0
+    for frame in frames[1:]:
+        model.update(frame)
+        estimate = background_step_reference(estimate, frame.pixels, 0.02)
+        assert np.array_equal(model.estimate, estimate)
+        mask = model.subtract(frame)
+        expected = subtract_bruteforce(frame.pixels, estimate, 38.0)
+        assert np.array_equal(mask.bits, expected)
+        flagged += int(expected.sum())
+    assert 0 < flagged < 100 * 36 * 48
+
+
+def test_subtract_masks_share_no_memory_and_frames_stay_untouched(rng):
+    first, second, third = noise_frames(rng, 3)
+    model = BackgroundModel(first, threshold=20.0)
+    kept = [f.pixels.copy() for f in (second, third)]
+    model.update(second)
+    mask_a = model.subtract(second).bits
+    snapshot = mask_a.copy()
+    model.update(third)
+    mask_b = model.subtract(third).bits
+    owned = (model.estimate, model._scratch)
+    for mask in (mask_a, mask_b):
+        for array in owned:
+            assert not np.shares_memory(mask, array)
+    assert not np.shares_memory(mask_a, mask_b)
+    assert not np.shares_memory(*owned)
+    assert np.array_equal(mask_a, snapshot)
+    assert np.array_equal(second.pixels, kept[0])
+    assert np.array_equal(third.pixels, kept[1])
+
+
+def test_update_and_subtract_allocate_no_float_frame(rng):
+    # a float64 frame is 8 bytes per pixel; beside its one-byte-per-pixel
+    # mask a step may hold only numpy's fixed-size casting buffer (64 kB)
+    first, frame = noise_frames(rng, 2, shape=(480, 640))
+    model = BackgroundModel(first)
+    quarter_frame = 2 * 480 * 640
+    tracemalloc.start()
+    try:
+        for step in (model.update, model.subtract):
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            step(frame)
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak - base < quarter_frame, step.__name__
+    finally:
+        tracemalloc.stop()
 
 
 def test_open_removes_isolated_pixel():

@@ -73,6 +73,75 @@ def test_label_matches_flood_fill_oracle(rng):
             assert got.count == int(expected.max())
 
 
+def spiral_mask(h, w):
+    # one-pixel path walked clockwise inward with a one-pixel gap between
+    # arms: a single long, thin component spread over every row
+    bits = np.zeros((h, w), dtype=bool)
+    y, x, dy, dx = 0, 0, 0, 1
+    bits[0, 0] = True
+    while True:
+        for _ in range(2):  # straight on, else turn clockwise
+            ny, nx = y + dy, x + dx
+            ay, ax = y + 2 * dy, x + 2 * dx
+            if (0 <= ny < h and 0 <= nx < w and not bits[ny, nx]
+                    and not (0 <= ay < h and 0 <= ax < w and bits[ay, ax])):
+                y, x = ny, nx
+                bits[y, x] = True
+                break
+            dy, dx = dx, -dy
+        else:
+            return bits
+
+
+def comb_mask(h, w):
+    # one-pixel teeth every other column, joined only by the last row, so
+    # every tooth starts as its own tree and all merge at the bottom
+    bits = np.zeros((h, w), dtype=bool)
+    bits[:, ::2] = True
+    bits[-1] = True
+    return bits
+
+
+def staircase_mask(n, descending):
+    bits = np.eye(n, dtype=bool)
+    return bits if descending else bits[:, ::-1].copy()
+
+
+LABEL_SHAPES = {
+    "spiral": lambda: spiral_mask(480, 640),
+    "comb": lambda: comb_mask(40, 81),
+    "comb_upside_down": lambda: comb_mask(40, 81)[::-1].copy(),
+    "staircase_down": lambda: staircase_mask(50, True),
+    "staircase_up": lambda: staircase_mask(50, False),
+    "checkerboard": lambda: np.indices((31, 40)).sum(axis=0) % 2 == 0,
+    "full": lambda: np.ones((30, 40), dtype=bool),
+    "empty": lambda: np.zeros((30, 40), dtype=bool),
+    "row": lambda: np.arange(57)[None, :] % 5 < 3,
+    "column": lambda: np.arange(57)[:, None] % 5 < 3,
+    "single_pixel": lambda: np.ones((1, 1), dtype=bool),
+}
+
+
+@pytest.mark.parametrize("conn", [4, 8])
+@pytest.mark.parametrize("shape", sorted(LABEL_SHAPES))
+def test_label_matches_flood_fill_on_stress_shapes(shape, conn):
+    bits = LABEL_SHAPES[shape]()
+    got = label_components(mask_of(bits), conn)
+    expected = flood_fill_labels(bits, conn)
+    assert got.count == int(expected.max())
+    # each run's component is the oracle label of its first pixel, and the
+    # painted image checks that the runs cover exactly the labeled pixels
+    assert np.array_equal(got.run_component, expected[got.srow, got.scol])
+    assert np.array_equal(got.labels, expected)
+
+
+def test_label_stress_shapes_have_the_intended_components():
+    assert flood_fill_labels(spiral_mask(480, 640), 4).max() == 1
+    assert flood_fill_labels(comb_mask(40, 81), 4).max() == 1
+    assert flood_fill_labels(staircase_mask(50, False), 8).max() == 1
+    assert flood_fill_labels(staircase_mask(50, False), 4).max() == 50
+
+
 def test_component_areas_sum_to_foreground(rng):
     bits = rng.random((40, 40)) < 0.5
     labels = label_components(mask_of(bits), 8)

@@ -71,6 +71,17 @@ def test_synth_zero_frames_is_config_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["width", "height", "frames"])
+def test_synth_zero_geometry_writes_nothing(tmp_path, capsys, field):
+    spec_path = write_scene(tmp_path, dict(SCENE, **{field: 0}))
+    code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert field in captured.err
+    assert not (tmp_path / "x").exists()
+
+
 def test_synth_requires_lines(tmp_path, capsys):
     scene = {k: v for k, v in SCENE.items() if k != "lines"}
     spec_path = write_scene(tmp_path, scene)
@@ -154,6 +165,20 @@ def test_count_bad_line_order_is_config_error(tmp_path, capsys):
     code, _, err = run_count(capsys, "--input", str(out_dir), "--lines", "80,40")
     assert code == 2
     assert "line" in err
+
+
+@pytest.mark.parametrize("annotate", [False, True])
+def test_count_negative_line_is_config_error(tmp_path, capsys, annotate):
+    out_dir = synth(tmp_path)
+    capsys.readouterr()
+    ann_dir = tmp_path / "annotated"
+    extra = ["--annotate", str(ann_dir)] if annotate else []
+    code, out, err = run_count(capsys, "--input", str(out_dir), "--lines=-5,80",
+                               "--warmup", "15", *extra)
+    assert code == 2
+    assert out == ""
+    assert "line" in err
+    assert not ann_dir.exists()
 
 
 def test_count_requires_lines(tmp_path, capsys):

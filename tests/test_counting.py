@@ -32,6 +32,13 @@ def test_line_pair_order_enforced():
         LinePair(100, 100)
 
 
+@pytest.mark.parametrize("line_in_y", [-1, -5])
+def test_line_pair_rejects_negative_rows(line_in_y):
+    # a line above row 0 leaves zone A unreachable, so nothing could count
+    with pytest.raises(ConfigError):
+        LinePair(line_in_y, 80)
+
+
 def test_classify_zones():
     assert classify_zone((5.0, 0.0), LINES) is Zone.A
     assert classify_zone((5.0, 300.0), LINES) is Zone.B

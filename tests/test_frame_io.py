@@ -87,6 +87,17 @@ def test_open_sequence_directory_order(tmp_path):
     assert frames[1].pixels[0, 0] == 20
 
 
+def test_open_sequence_sorts_unpadded_names_by_number(tmp_path):
+    # lexicographic order would read f10 and f11 before f2
+    for i in (11, 2, 0, 10, 1, 9):
+        write_frame(uniform_frame(8, 8, i), tmp_path / f"f{i}.pgm")
+    for i in (3, 4, 5, 6, 7, 8):
+        write_frame(uniform_frame(8, 8, i), tmp_path / f"f{i}.PGM")
+    frames = list(open_sequence(SequenceSpec(source=tmp_path)))
+    assert [f.pixels[0, 0] for f in frames] == list(range(12))
+    assert [f.index for f in frames] == list(range(12))
+
+
 def test_open_sequence_indices_consecutive(tmp_path):
     for i in range(5):
         write_frame(uniform_frame(8, 8, i), tmp_path / f"{i:04d}.pgm")

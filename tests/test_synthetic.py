@@ -64,6 +64,14 @@ def test_zero_frames_rejected():
         list(render_scene(scene([], frames=0)))
 
 
+@pytest.mark.parametrize("field", ["width", "height", "frames"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_scene_spec_rejects_non_positive_geometry(field, value):
+    doc = dict(scene([]).to_dict(), **{field: value})
+    with pytest.raises(ConfigError):
+        SceneSpec.from_dict(doc)
+
+
 def test_actor_validation():
     with pytest.raises(ConfigError):
         ActorSpec(radius=1, start=(0, 0), velocity=(0, 0))
