@@ -111,33 +111,73 @@ class BackgroundModel:
         return BinaryMask(diff > self.threshold)
 
 
-def _sweep(bits: np.ndarray, radius: int, combine) -> np.ndarray:
-    # a square element is separable: run the 1-D window along rows, then
-    # columns; out-of-image pixels count as background
+# Opening works on bit-packed rows. np.packbits puts column c at bit
+# 63 - c % 64 of word c // 64 once the bytes are read as big-endian uint64, so
+# one shift moves 64 mask pixels by a column. Every row gets w // 64 + 1 words,
+# so it ends in at least one zero pad bit, and the rows lie end to end in one
+# flat array: a one-column shift of the whole array carries each word's edge
+# bit into its neighbour, and a row's first and last columns see a pad bit,
+# that is background, beside them.
+_ONE = np.uint64(1)
+_LAST = np.uint64(63)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
     h, w = bits.shape
-    padded = np.pad(bits, ((0, 0), (radius, radius)), constant_values=False)
-    rows = padded[:, 2 * radius:2 * radius + w].copy()
-    for k in range(2 * radius):
-        combine(rows, padded[:, k:k + w], out=rows)
-    padded = np.pad(rows, ((radius, radius), (0, 0)), constant_values=False)
-    out = padded[2 * radius:2 * radius + h].copy()
-    for k in range(2 * radius):
-        combine(out, padded[k:k + h], out=out)
+    packed = np.zeros((h, (w // 64 + 1) * 8), dtype=np.uint8)
+    packed[:, :(w + 7) // 8] = np.packbits(bits, axis=1)
+    return packed.view(">u8").astype(np.uint64)
+
+
+def _unpack(words: np.ndarray, width: int) -> np.ndarray:
+    packed = words.astype(">u8", copy=False).view(np.uint8)
+    return np.unpackbits(packed, axis=1, count=width).view(np.bool_)
+
+
+def _step(words: np.ndarray, combine) -> np.ndarray:
+    """Combine every pixel of the packed rows with its 8 neighbours by
+    ``combine`` (np.bitwise_and erodes, np.bitwise_or dilates): first each
+    word with its one-column left and right shifts, then each row with the
+    rows above and below. The top and bottom rows see only their one
+    neighbouring row; the caller handles what lies beyond them."""
+    flat = words.reshape(-1)
+    left = flat >> _ONE
+    left[1:] |= flat[:-1] << _LAST
+    right = flat << _ONE
+    right[:-1] |= flat[1:] >> _LAST
+    combine(left, flat, out=left)
+    combine(left, right, out=left)
+    rows = left.reshape(words.shape)
+    out = right.reshape(words.shape)
+    out[...] = rows
+    combine(out[1:], rows[:-1], out=out[1:])
+    combine(out[:-1], rows[1:], out=out[:-1])
     return out
-
-
-def _erode(bits: np.ndarray, radius: int) -> np.ndarray:
-    return _sweep(bits, radius, np.logical_and)
-
-
-def _dilate(bits: np.ndarray, radius: int) -> np.ndarray:
-    return _sweep(bits, radius, np.logical_or)
 
 
 def morph_open(mask: BinaryMask, radius: int = 1) -> BinaryMask:
     """Morphological opening (erosion then dilation) with a square
     (2*radius+1)^2 structuring element; removes speckle noise smaller than
-    the element while preserving larger solid regions."""
+    the element while preserving larger solid regions.
+
+    Out-of-image pixels count as background. The square element is the 3x3
+    one applied ``radius`` times, so the opening is ``radius`` 3x3 erosions
+    and then ``radius`` 3x3 dilations, each on bit-packed rows. The result is
+    a fresh mask; the input is not modified.
+    """
     if radius < 1:
         raise ConfigError(f"opening radius must be >= 1, got {radius}")
-    return BinaryMask(_dilate(_erode(mask.bits, radius), radius))
+    h, w = mask.bits.shape
+    if 2 * radius + 1 > min(h, w):
+        # the element fits nowhere inside the image, so every pixel erodes
+        return BinaryMask(np.zeros((h, w), dtype=bool))
+    words = _pack(mask.bits)
+    for _ in range(radius):
+        words = _step(words, np.bitwise_and)
+        words[0] = 0
+        words[-1] = 0
+    # every pixel left lies at least radius pixels inside the image, so the
+    # dilations never spread past its edge and the pad bits stay zero
+    for _ in range(radius):
+        words = _step(words, np.bitwise_or)
+    return BinaryMask(_unpack(words, w))

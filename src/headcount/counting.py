@@ -33,15 +33,17 @@ class Direction(str, enum.Enum):
 
 @dataclass(frozen=True)
 class LinePair:
-    """The two counting rows; the IN line must lie above the OUT line, and
-    neither may lie above row 0, where zone A could never be reached."""
+    """The two counting rows. The IN line must lie above the OUT line and no
+    higher than row 1, so that zone A (the rows above it) is not empty. That
+    the OUT line leaves zone B a row depends on the frame height, which the
+    pipeline checks."""
 
     line_in_y: int
     line_out_y: int
 
     def __post_init__(self):
-        if self.line_in_y < 0:
-            raise ConfigError(f"line_in_y must be >= 0, got {self.line_in_y}")
+        if self.line_in_y < 1:
+            raise ConfigError(f"line_in_y must be >= 1, got {self.line_in_y}")
         if self.line_in_y >= self.line_out_y:
             raise ConfigError(
                 f"line_in_y ({self.line_in_y}) must be above "
@@ -51,11 +53,10 @@ class LinePair:
 
 @dataclass
 class LineZoneState:
-    """Per-track traversal state: where the track started (or last scored)
-    and where it currently is."""
+    """Per-track traversal state: the zone where the track started, or where
+    it last scored."""
 
     origin_zone: Optional[Zone] = None
-    current_zone: Optional[Zone] = None
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,6 @@ def advance(state: LineZoneState, centroid: tuple[float, float], lines: LinePair
     zone = classify_zone(centroid, lines)
     if state.origin_zone is None:
         state.origin_zone = zone
-    state.current_zone = zone
 
     event = None
     if state.origin_zone is Zone.A and zone is Zone.B:

@@ -55,14 +55,13 @@ class SequenceSpec:
 
     ``source`` is either a directory of ``.pgm`` files (frame order = file
     names in natural order, see ``open_sequence``) or a raw file of
-    concatenated frames, in which case ``width`` and ``height`` are required. ``fps`` is carried as metadata
-    only; nothing in the pipeline is time-based.
+    concatenated frames, in which case ``width`` and ``height`` are required.
+    Nothing in the pipeline is time-based, so a sequence has no frame rate.
     """
 
     source: Path
     width: Optional[int] = None
     height: Optional[int] = None
-    fps: float = 25.0
 
     def __post_init__(self):
         self.source = Path(self.source)

@@ -230,3 +230,54 @@ def test_open_never_exceeds_dilation(rng):
 def test_open_radius_validation():
     with pytest.raises(ConfigError):
         morph_open(BinaryMask(np.zeros((8, 8), dtype=bool)), radius=0)
+
+
+# widths on both sides of the 64-column word boundaries of the packed rows
+OPEN_WIDTHS = [1, 63, 64, 65, 127, 128, 129]
+
+
+def _open_masks(rng, height, width):
+    speckle = rng.random((height, width)) < 0.5
+    solid = speckle.copy()
+    for _ in range(3):
+        r0, c0 = rng.integers(height), rng.integers(width)
+        solid[r0:r0 + rng.integers(3, 10), c0:c0 + rng.integers(3, 40)] = True
+    # two columns at each side: no square fits, but one would if a row's
+    # last column touched the next row's first
+    edges = np.zeros((height, width), dtype=bool)
+    edges[:, :2] = edges[:, -2:] = True
+    return {"full": np.ones((height, width), dtype=bool),
+            "empty": np.zeros((height, width), dtype=bool),
+            "speckle": speckle, "solid": solid, "edges": edges}
+
+
+def _check_open(bits, radius):
+    before = bits.copy()
+    opened = morph_open(BinaryMask(bits), radius=radius).bits
+    assert np.array_equal(opened, dilate_bruteforce(erode_bruteforce(bits, radius), radius))
+    assert opened.dtype == np.bool_ and opened.flags.c_contiguous
+    assert not np.shares_memory(opened, bits)
+    assert np.array_equal(bits, before)
+
+
+@pytest.mark.parametrize("width", OPEN_WIDTHS)
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_open_matches_bruteforce_across_word_boundaries(rng, radius, width):
+    # heights 1-3 leave no room for a 5x5 or 7x7 element; 7 and 9 leave some
+    for height in (1, 2, 3, 7, 9):
+        for bits in _open_masks(rng, height, width).values():
+            _check_open(bits, radius)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (4, 7), (7, 4)])
+def test_open_radius_larger_than_mask(rng, shape):
+    radius = max(shape) + 1
+    for bits in _open_masks(rng, *shape).values():
+        _check_open(bits, radius)
+
+
+def test_open_radius_larger_than_wide_mask():
+    bits = np.ones((3, 129), dtype=bool)
+    assert not erode_bruteforce(bits, 200).any()
+    assert not morph_open(BinaryMask(bits), radius=200).bits.any()
+    assert bits.all()

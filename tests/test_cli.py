@@ -181,6 +181,19 @@ def test_count_negative_line_is_config_error(tmp_path, capsys, annotate):
     assert not ann_dir.exists()
 
 
+@pytest.mark.parametrize("lines", ["0,80", "40,119"])
+def test_count_edge_line_is_config_error(tmp_path, capsys, lines):
+    # SCENE is 120 rows: a line on row 0 leaves zone A empty, one on row 119
+    # leaves zone B empty, and either way nothing could ever count
+    out_dir = synth(tmp_path)
+    capsys.readouterr()
+    code, out, err = run_count(capsys, "--input", str(out_dir), "--lines", lines,
+                               "--warmup", "15")
+    assert code == 2
+    assert out == ""
+    assert "line" in err
+
+
 def test_count_requires_lines(tmp_path, capsys):
     out_dir = synth(tmp_path)
     capsys.readouterr()

@@ -32,9 +32,9 @@ def test_line_pair_order_enforced():
         LinePair(100, 100)
 
 
-@pytest.mark.parametrize("line_in_y", [-1, -5])
+@pytest.mark.parametrize("line_in_y", [-1, -5, 0])
 def test_line_pair_rejects_negative_rows(line_in_y):
-    # a line above row 0 leaves zone A unreachable, so nothing could count
+    # a line on or above row 0 leaves zone A unreachable, so nothing could count
     with pytest.raises(ConfigError):
         LinePair(line_in_y, 80)
 

@@ -205,6 +205,15 @@ def test_lines_must_fit_frame():
         pipeline.process_frame(uniform_frame(160, 120, 0))
 
 
+def test_out_line_must_leave_zone_b_a_row():
+    # on the last row the OUT line leaves zone B no row, so nothing could count
+    with pytest.raises(ConfigError):
+        CountingPipeline(PipelineConfig(lines=LinePair(40, 119))).process_frame(
+            uniform_frame(160, 120, 0))
+    CountingPipeline(PipelineConfig(lines=LinePair(40, 118))).process_frame(
+        uniform_frame(160, 120, 0))
+
+
 def test_empty_sequence_rejected():
     with pytest.raises(EmptySequence):
         run(iter([]), config())
