@@ -23,7 +23,6 @@ from .frame_io import Frame
 
 DEFAULT_ALPHA = 0.02
 DEFAULT_THRESHOLD = 25.0
-DEFAULT_WARMUP = 30
 
 
 @dataclass(eq=False)
@@ -45,15 +44,13 @@ class BinaryMask:
         return self.bits.shape[0]
 
 
-def check_params(alpha: float, threshold: float, warmup: int) -> None:
-    """Raise ConfigError unless 0 < alpha < 1, 0 < threshold <= 255 and
-    warmup >= 0; the chained comparisons are false for nan and infinities."""
+def check_params(alpha: float, threshold: float) -> None:
+    """Raise ConfigError unless 0 < alpha < 1 and 0 < threshold <= 255; the
+    chained comparisons are false for nan and infinities."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0,1), got {alpha}")
     if not 0.0 < threshold <= 255.0:
         raise ConfigError(f"threshold must be in (0,255], got {threshold}")
-    if warmup < 0:
-        raise ConfigError(f"warmup must be >= 0, got {warmup}")
 
 
 class BackgroundModel:
@@ -71,13 +68,12 @@ class BackgroundModel:
     """
 
     def __init__(self, first: Frame, alpha: float = DEFAULT_ALPHA,
-                 threshold: float = DEFAULT_THRESHOLD, warmup: int = DEFAULT_WARMUP):
-        check_params(alpha, threshold, warmup)
+                 threshold: float = DEFAULT_THRESHOLD):
+        check_params(alpha, threshold)
         self.width = first.width
         self.height = first.height
         self.alpha = float(alpha)
         self.threshold = float(threshold)
-        self.warmup = int(warmup)
         self.estimate = first.pixels.astype(np.float64)
         self._scratch = np.empty_like(self.estimate)
 
@@ -101,9 +97,7 @@ class BackgroundModel:
         """Foreground mask: |frame - estimate| > threshold, per pixel.
 
         The difference is taken in the scratch buffer; the returned mask is a
-        fresh array that shares memory with nothing the model keeps. Computed
-        unconditionally; during warmup (frame.index < warmup) the caller is
-        expected to discard the result.
+        fresh array that shares memory with nothing the model keeps.
         """
         self._check_geometry(frame)
         diff = np.subtract(frame.pixels, self.estimate, out=self._scratch)

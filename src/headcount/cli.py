@@ -20,7 +20,7 @@ from .errors import (ConfigError, EmptySequence, HeadcountError, OrderError,
                      UnsupportedFormat)
 from .frame_io import SequenceSpec, open_sequence, write_annotated
 from .metrics import GroundTruth, accuracy_pct
-from .pipeline import CountingPipeline, PipelineConfig
+from .pipeline import PARAMS, CountingPipeline, PipelineConfig
 from .synthetic import SceneSpec, ground_truth_events, render_scene
 from .tracking import TrackerConfig
 from . import frame_io
@@ -28,24 +28,6 @@ from . import frame_io
 _IO_ERRORS = (OSError, ParseError, UnsupportedFormat, EmptySequence, TruncatedStream)
 _CONFIG_ERRORS = (ConfigError, UndefinedAccuracy, ShapeError, OrderError,
                   json.JSONDecodeError)
-
-# flat config keys; a --config file uses the same names as the flags
-_DEFAULTS = {
-    "lines": None,
-    "invert_direction": False,
-    "alpha": 0.02,
-    "threshold": 25.0,
-    "warmup": 30,
-    "morph_radius": 1,
-    "connectivity": 8,
-    "min_area": 80,
-    "max_area": None,
-    "min_circularity": 0.5,
-    "min_convexity": 0.7,
-    "min_inertia": 0.3,
-    "max_match_dist": 50.0,
-    "max_missed": 5,
-}
 
 
 def _parse_lines(text) -> LinePair:
@@ -84,36 +66,16 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _load_truth(path) -> GroundTruth:
-    doc = _load_json(path)
-    try:
-        return GroundTruth(doc["true_in"], doc["true_out"], doc["true_total"])
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing ground-truth key {exc}") from exc
-
-
-def _effective_settings(args) -> dict:
-    settings = dict(_DEFAULTS)
-    if args.config:
-        file_conf = _load_json(args.config)
-        unknown = set(file_conf) - set(_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(file_conf)
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    return settings
-
-
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number"}
+_SECTIONS = {None: PipelineConfig, "blob": BlobFilterParams, "tracker": TrackerConfig}
 
 
-def _typed(settings: dict, key: str, kind: type):
-    """settings[key] if it has the JSON type ``kind``: booleans are never
-    numbers, and an integer is accepted where a number is asked for."""
-    value = settings[key]
+def _typed(key: str, value, kind: type, nullable: bool = False):
+    """value if it has the JSON type ``kind``: booleans are never numbers, an
+    integer is accepted where a number is asked for, and null only where
+    ``nullable``."""
+    if value is None and nullable:
+        return None
     if kind is float and type(value) is int:
         value = float(value)
     if type(value) is not kind:
@@ -121,40 +83,43 @@ def _typed(settings: dict, key: str, kind: type):
     return value
 
 
-def _build_config(settings: dict) -> PipelineConfig:
-    if settings["lines"] is None:
+def _load_counts(path, keys) -> list[int]:
+    """The JSON integers under ``keys`` in the JSON object at ``path``."""
+    doc = _load_json(path)
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ConfigError(f"{path}: missing keys {missing}")
+    return [_typed(f"{path}: {key}", doc[key], int) for key in keys]
+
+
+def _load_truth(path) -> GroundTruth:
+    return GroundTruth(*_load_counts(path, ("true_in", "true_out", "true_total")))
+
+
+def _build_config(args) -> PipelineConfig:
+    """The --config document, overlaid with every flag given, as a config."""
+    settings = _load_json(args.config) if args.config else {}
+    unknown = set(settings) - set(PARAMS) - {"lines"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key in ("lines", *PARAMS):
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    if settings.get("lines") is None:
         raise ConfigError("counting lines are required (--lines Y1,Y2)")
-    lines = settings["lines"]
-    if not isinstance(lines, LinePair):
-        lines = _parse_lines(lines)
-    blob = BlobFilterParams(
-        min_area=_typed(settings, "min_area", int),
-        max_area=(None if settings["max_area"] is None
-                  else _typed(settings, "max_area", int)),
-        min_circularity=_typed(settings, "min_circularity", float),
-        min_convexity=_typed(settings, "min_convexity", float),
-        min_inertia_ratio=_typed(settings, "min_inertia", float),
-    )
-    tracker = TrackerConfig(
-        max_match_distance=_typed(settings, "max_match_dist", float),
-        max_missed=_typed(settings, "max_missed", int),
-    )
-    return PipelineConfig(
-        lines=lines,
-        alpha=_typed(settings, "alpha", float),
-        threshold=_typed(settings, "threshold", float),
-        warmup=_typed(settings, "warmup", int),
-        morph_radius=_typed(settings, "morph_radius", int),
-        connectivity=_typed(settings, "connectivity", int),
-        blob=blob,
-        tracker=tracker,
-        invert_direction=_typed(settings, "invert_direction", bool),
-    )
+    kwargs: dict = {section: {} for section in _SECTIONS}
+    for key, (section, name, kind, _) in PARAMS.items():
+        if key in settings:
+            default = _SECTIONS[section].__dataclass_fields__[name].default
+            kwargs[section][name] = _typed(key, settings[key], kind,
+                                           nullable=default is None)
+    return PipelineConfig(lines=_parse_lines(settings["lines"]),
+                          blob=BlobFilterParams(**kwargs["blob"]),
+                          tracker=TrackerConfig(**kwargs["tracker"]), **kwargs[None])
 
 
 def cmd_count(args) -> int:
-    settings = _effective_settings(args)
-    config = _build_config(settings)
+    config = _build_config(args)
     truth = _load_truth(args.truth) if args.truth else None
 
     spec = SequenceSpec(source=Path(args.input))
@@ -189,14 +154,11 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         scene.seed = args.seed
 
-    lines = None
-    if args.lines is not None:
-        lines = _parse_lines(args.lines)
-    elif lines_doc is not None:
-        lines = _parse_lines(lines_doc)
+    lines = args.lines if args.lines is not None else lines_doc
     if lines is None:
         raise ConfigError("counting lines are required to compute ground truth "
                           "(--lines or a \"lines\" entry in the scene spec)")
+    lines = _parse_lines(lines)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -214,17 +176,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    report = _load_json(args.report)
+    n_in, n_out, n_total = _load_counts(args.report, ("in", "out", "total"))
     truth = _load_truth(args.truth)
-    try:
-        counted = {k: int(report[k]) for k in ("in", "out", "total")}
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError(f"{args.report}: not a count report "
-                          "(need integer in/out/total)") from None
     result = {
-        "in_accuracy": round(accuracy_pct(counted["in"], truth.true_in), 2),
-        "out_accuracy": round(accuracy_pct(counted["out"], truth.true_out), 2),
-        "tc_accuracy": round(accuracy_pct(counted["total"], truth.true_total), 2),
+        "in_accuracy": round(accuracy_pct(n_in, truth.true_in), 2),
+        "out_accuracy": round(accuracy_pct(n_out, truth.true_out), 2),
+        "tc_accuracy": round(accuracy_pct(n_total, truth.true_total), 2),
     }
     print(json.dumps(result, sort_keys=True))
     return 0
@@ -232,24 +189,12 @@ def cmd_eval(args) -> int:
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lines", help="counting rows as Y1,Y2 (Y1 above Y2)")
-    p.add_argument("--invert-direction", dest="invert_direction",
-                   action="store_const", const=True, default=None,
-                   help="count downward crossings as OUT instead of IN")
-    p.add_argument("--alpha", type=float, help="background learning rate in (0,1)")
-    p.add_argument("--threshold", type=float, help="foreground intensity threshold")
-    p.add_argument("--warmup", type=int, help="frames used only to settle the background")
-    p.add_argument("--morph-radius", dest="morph_radius", type=int,
-                   help="opening radius for mask cleanup (0 disables)")
-    p.add_argument("--connectivity", type=int, choices=(4, 8), help="blob connectivity")
-    p.add_argument("--min-area", dest="min_area", type=int, help="minimum blob area")
-    p.add_argument("--max-area", dest="max_area", type=int, help="maximum blob area")
-    p.add_argument("--min-circularity", dest="min_circularity", type=float)
-    p.add_argument("--min-convexity", dest="min_convexity", type=float)
-    p.add_argument("--min-inertia", dest="min_inertia", type=float)
-    p.add_argument("--max-match-dist", dest="max_match_dist", type=float,
-                   help="matching gate in pixels")
-    p.add_argument("--max-missed", dest="max_missed", type=int,
-                   help="frames a track may go unseen before expiring")
+    for key, (_, _, kind, text) in PARAMS.items():
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            p.add_argument(flag, action="store_const", const=True, help=text)
+        else:
+            p.add_argument(flag, type=kind, help=text)
     p.add_argument("--config", help="JSON file with the same keys as the flags")
 
 

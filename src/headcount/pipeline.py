@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
-from .background import (DEFAULT_ALPHA, DEFAULT_THRESHOLD, DEFAULT_WARMUP,
-                         BackgroundModel, check_params, morph_open)
+from .background import (DEFAULT_ALPHA, DEFAULT_THRESHOLD, BackgroundModel,
+                         check_params, morph_open)
 from .blobs import BlobFilterParams, BlobKeypoint, detect_blobs
 from .counting import Counters, CrossEvent, LinePair, advance, apply_event
 from .errors import ConfigError, EmptySequence, OrderError, ShapeError
@@ -22,6 +22,35 @@ from .tracking import Tracker, TrackerConfig
 MIN_FRAME_SIDE = 8
 
 
+# The pipeline's parameters besides ``lines``, each under one flat key that
+# names its ``count`` flag (``--min-area``), its ``--config`` key and its entry
+# in the report's ``params``: key -> (section of PipelineConfig, or None for a
+# field of its own; field name; JSON type; help text). Defaults live on the
+# dataclass fields only.
+PARAMS: dict[str, tuple[Optional[str], str, type, str]] = {
+    "invert_direction": (None, "invert_direction", bool,
+                         "count downward crossings as OUT instead of IN"),
+    "alpha": (None, "alpha", float, "background learning rate in (0,1)"),
+    "threshold": (None, "threshold", float, "foreground intensity threshold"),
+    "warmup": (None, "warmup", int, "frames used only to settle the background"),
+    "morph_radius": (None, "morph_radius", int,
+                     "opening radius for mask cleanup (0 disables)"),
+    "connectivity": (None, "connectivity", int, "blob connectivity"),
+    "min_area": ("blob", "min_area", int, "minimum blob area"),
+    "max_area": ("blob", "max_area", int, "maximum blob area"),
+    "min_circularity": ("blob", "min_circularity", float,
+                        "lower bound on 4*pi*area/perimeter^2"),
+    "min_convexity": ("blob", "min_convexity", float,
+                      "lower bound on area/hull_area"),
+    "min_inertia": ("blob", "min_inertia_ratio", float,
+                    "lower bound on the principal-moment ratio"),
+    "max_match_dist": ("tracker", "max_match_distance", float,
+                       "matching gate in pixels"),
+    "max_missed": ("tracker", "max_missed", int,
+                   "frames a track may go unseen before expiring"),
+}
+
+
 @dataclass
 class PipelineConfig:
     """Effective configuration of one counting run."""
@@ -29,7 +58,7 @@ class PipelineConfig:
     lines: LinePair
     alpha: float = DEFAULT_ALPHA
     threshold: float = DEFAULT_THRESHOLD
-    warmup: int = DEFAULT_WARMUP
+    warmup: int = 30
     morph_radius: int = 1
     connectivity: int = 8
     blob: BlobFilterParams = field(default_factory=BlobFilterParams)
@@ -38,7 +67,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         # checked here too so a bad value fails before any frame is read
-        check_params(self.alpha, self.threshold, self.warmup)
+        check_params(self.alpha, self.threshold)
+        if self.warmup < 0:
+            raise ConfigError(f"warmup must be >= 0, got {self.warmup}")
         if self.morph_radius < 0:
             raise ConfigError("morph_radius must be >= 0")
         if self.connectivity not in (4, 8):
@@ -46,22 +77,12 @@ class PipelineConfig:
 
     def to_params_dict(self) -> dict[str, Any]:
         """Flat snapshot of every effective parameter, for the report."""
-        return {
-            "lines": [self.lines.line_in_y, self.lines.line_out_y],
-            "invert_direction": self.invert_direction,
-            "alpha": self.alpha,
-            "threshold": self.threshold,
-            "warmup": self.warmup,
-            "morph_radius": self.morph_radius,
-            "connectivity": self.connectivity,
-            "min_area": self.blob.min_area,
-            "max_area": self.blob.max_area,
-            "min_circularity": self.blob.min_circularity,
-            "min_convexity": self.blob.min_convexity,
-            "min_inertia": self.blob.min_inertia_ratio,
-            "max_match_dist": self.tracker.max_match_distance,
-            "max_missed": self.tracker.max_missed,
-        }
+        params: dict[str, Any] = {"lines": [self.lines.line_in_y,
+                                            self.lines.line_out_y]}
+        for key, (section, name, _, _) in PARAMS.items():
+            owner = self if section is None else getattr(self, section)
+            params[key] = getattr(owner, name)
+        return params
 
 
 class CountingPipeline:
@@ -91,8 +112,7 @@ class CountingPipeline:
                 f"{frame.height}: line_out_y must be <= {frame.height - 2}"
             )
         self._model = BackgroundModel(frame, alpha=self.config.alpha,
-                                      threshold=self.config.threshold,
-                                      warmup=self.config.warmup)
+                                      threshold=self.config.threshold)
 
     def process_frame(self, frame: Frame) -> list[CrossEvent]:
         """Run all stages on one frame and return the crossings it produced."""

@@ -99,6 +99,15 @@ class SceneSpec:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "SceneSpec":
+        # every scene field but the actors is an integer; a JSON 2.5 or true
+        # would otherwise reach range() or the pixel array
+        scalars = {name: doc[name] for name in ("width", "height", "frames",
+                                                "background_intensity",
+                                                "noise_amplitude", "seed")
+                   if name in doc}
+        for name, value in scalars.items():
+            if type(value) is not int:
+                raise ConfigError(f"scene {name} must be an integer, got {value!r}")
         try:
             actors = [
                 ActorSpec(
@@ -111,15 +120,7 @@ class SceneSpec:
                 )
                 for a in doc.get("actors", [])
             ]
-            return cls(
-                width=doc["width"],
-                height=doc["height"],
-                frames=doc["frames"],
-                background_intensity=doc.get("background_intensity", 50),
-                noise_amplitude=doc.get("noise_amplitude", 0),
-                seed=doc.get("seed", 0),
-                actors=actors,
-            )
+            return cls(**scalars, actors=actors)
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"invalid scene spec: {exc}") from exc
 

@@ -33,21 +33,14 @@ class TrackerConfig:
 
 @dataclass(eq=False)
 class Track:
-    """One tracked object: id, observation history, and line-zone state."""
+    """One tracked object: id, last observation (frame and centroid), frames
+    missed since, and line-zone state."""
 
     id: int
-    history: list[tuple[int, tuple[float, float]]] = field(default_factory=list)
+    last_frame: int
+    position: tuple[float, float]
     missed: int = 0
     zone_state: LineZoneState = field(default_factory=LineZoneState)
-    alive: bool = True
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return self.history[-1][1]
-
-    @property
-    def last_frame(self) -> int:
-        return self.history[-1][0]
 
 
 @dataclass
@@ -103,13 +96,13 @@ class Tracker:
              frame_index: int) -> tuple[list[int], list[int]]:
         """Advance one frame: match, age out, and spawn tracks.
 
-        Returns (spawned ids, expired ids). Matched tracks get the keypoint
-        centroid appended; unmatched tracks age and are dropped once missed
+        Returns (spawned ids, expired ids). Matched tracks move to the
+        keypoint centroid; unmatched tracks age and are dropped once missed
         exceeds max_missed; unmatched keypoints start fresh tracks with ids
         that are never reused.
         """
         for track in self.tracks:
-            if track.history and frame_index <= track.last_frame:
+            if frame_index <= track.last_frame:
                 raise OrderError(
                     f"frame {frame_index} not after track {track.id}'s "
                     f"last frame {track.last_frame}"
@@ -117,22 +110,20 @@ class Tracker:
 
         assignment = associate(self.tracks, keypoints, self.cfg)
         for track, k in assignment.matches:
-            track.history.append((frame_index, keypoints[k].centroid))
+            track.last_frame, track.position = frame_index, keypoints[k].centroid
             track.missed = 0
 
         expired = []
         for track in assignment.unmatched_tracks:
             track.missed += 1
             if track.missed > self.cfg.max_missed:
-                track.alive = False
                 expired.append(track.id)
         if expired:
-            self.tracks = [t for t in self.tracks if t.alive]
+            self.tracks = [t for t in self.tracks if t.missed <= self.cfg.max_missed]
 
         spawned = []
         for k in assignment.unmatched_keypoints:
-            track = Track(id=self._next_id,
-                          history=[(frame_index, keypoints[k].centroid)])
+            track = Track(self._next_id, frame_index, keypoints[k].centroid)
             self._next_id += 1
             self.tracks.append(track)
             spawned.append(track.id)

@@ -148,7 +148,7 @@ def test_criterion_06_background_convergence():
     with criterion(6, "running average meets the 255*(1-a)^k bound, mask clears"):
         # constant scene, model seeded from the first frame
         frame = uniform_frame(32, 32, 120)
-        model = BackgroundModel(frame, alpha=0.02, threshold=25.0, warmup=30)
+        model = BackgroundModel(frame, alpha=0.02, threshold=25.0)
         for k in range(1, 301):
             model.update(frame)
             gap = np.abs(model.estimate - frame.pixels).max()

@@ -4,6 +4,7 @@ import pytest
 
 from headcount import load_frame
 from headcount.cli import main
+from headcount.pipeline import PARAMS
 
 SCENE = {
     "width": 160,
@@ -74,6 +75,19 @@ def test_synth_zero_frames_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("field", ["width", "height", "frames"])
 def test_synth_zero_geometry_writes_nothing(tmp_path, capsys, field):
     spec_path = write_scene(tmp_path, dict(SCENE, **{field: 0}))
+    code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert field in captured.err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("field", ["width", "height", "frames", "seed",
+                                   "background_intensity", "noise_amplitude"])
+@pytest.mark.parametrize("value", [32.5, True, "40"])
+def test_synth_non_integer_scene_field_is_config_error(tmp_path, capsys, field, value):
+    spec_path = write_scene(tmp_path, dict(SCENE, **{field: value}))
     code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
     captured = capsys.readouterr()
     assert code == 2
@@ -308,6 +322,79 @@ def test_count_config_integer_for_float_key_accepted(tmp_path, capsys):
     assert json.loads(out)["params"]["threshold"] == 30.0
 
 
+# one value outside the valid range for every flag that takes a value
+OUT_OF_RANGE = [
+    ("--alpha", "1", "alpha"),
+    ("--threshold", "0", "threshold"),
+    ("--warmup", "-1", "warmup"),
+    ("--morph-radius", "-1", "morph_radius"),
+    ("--connectivity", "5", "connectivity"),
+    ("--min-area", "0", "min_area"),
+    ("--max-area", "10", "max_area"),
+    ("--min-circularity", "1.5", "min_circularity"),
+    ("--min-convexity", "-0.1", "min_convexity"),
+    ("--min-inertia", "2", "min_inertia"),
+    ("--max-match-dist", "0", "max_match_dist"),
+    ("--max-missed", "-1", "max_missed"),
+]
+
+# the defaults table in README.md, with lines 40,80
+README_DEFAULTS = {
+    "lines": [40, 80], "invert_direction": False, "alpha": 0.02,
+    "threshold": 25.0, "warmup": 30, "morph_radius": 1, "connectivity": 8,
+    "min_area": 80, "max_area": None, "min_circularity": 0.5,
+    "min_convexity": 0.7, "min_inertia": 0.3, "max_match_dist": 50.0,
+    "max_missed": 5,
+}
+
+
+def test_out_of_range_cases_cover_every_valued_key():
+    valued = {key for key, (_, _, kind, _) in PARAMS.items() if kind is not bool}
+    assert {key for _, _, key in OUT_OF_RANGE} == valued
+
+
+@pytest.mark.parametrize("flag,value,key", OUT_OF_RANGE)
+def test_count_out_of_range_flag_is_config_error(tmp_path, capsys, flag, value, key):
+    # the input is an empty directory: a config that got through would exit 1
+    code, out, err = run_count(capsys, "--input", str(tmp_path), "--lines", "40,80",
+                               f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert key in err
+
+
+def test_count_default_params_match_readme(tmp_path, capsys):
+    out_dir = synth(tmp_path)
+    capsys.readouterr()
+    code, out, _ = run_count(capsys, "--input", str(out_dir), "--lines", "40,80")
+    assert code == 0
+    params = json.loads(out)["params"]
+    # compared as JSON text, so 25.0 and 25 differ
+    assert json.dumps(params, sort_keys=True) == json.dumps(README_DEFAULTS,
+                                                            sort_keys=True)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lines", "40,80"],
+    ["--lines", "40,80", "--invert-direction", "--alpha", "0.03", "--threshold", "28",
+     "--warmup", "15", "--morph-radius", "2", "--connectivity", "4",
+     "--min-area", "60", "--max-area", "2000", "--min-circularity", "0.4",
+     "--min-convexity", "0.6", "--min-inertia", "0.25", "--max-match-dist", "40",
+     "--max-missed", "4"],
+])
+def test_count_report_params_as_config_reproduce_report(tmp_path, capsys, flags):
+    out_dir = synth(tmp_path)
+    capsys.readouterr()
+    code, first, _ = run_count(capsys, "--input", str(out_dir), *flags)
+    assert code == 0
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(json.loads(first)["params"]))
+    code, second, _ = run_count(capsys, "--input", str(out_dir), "--config", str(conf))
+    assert code == 0
+    assert second == first
+
+
 @pytest.mark.parametrize("flag", ["--alpha", "--threshold", "--min-circularity",
                                   "--min-convexity", "--min-inertia",
                                   "--max-match-dist"])
@@ -385,6 +472,57 @@ def test_eval_schema_mismatch(tmp_path, capsys):
     code = main(["eval", "--report", str(report), "--truth", str(truth)])
     assert code == 2
     capsys.readouterr()
+
+
+NON_INTEGER_TRUTHS = [
+    {"true_in": "3", "true_out": 1, "true_total": 4},
+    {"true_in": 3.5, "true_out": 0.5, "true_total": 4.0},
+    {"true_in": 3, "true_out": True, "true_total": 4},
+]
+
+
+@pytest.mark.parametrize("truth_doc", NON_INTEGER_TRUTHS)
+def test_count_truth_counts_must_be_json_integers(tmp_path, capsys, truth_doc):
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps(truth_doc))
+    # the input is an empty directory: a truth that got through would exit 1
+    code, out, err = run_count(capsys, "--input", str(tmp_path), "--lines", "40,80",
+                               "--truth", str(truth))
+    assert code == 2
+    assert out == ""
+    assert "true_" in err
+
+
+@pytest.mark.parametrize("truth_doc", NON_INTEGER_TRUTHS)
+def test_eval_truth_counts_must_be_json_integers(tmp_path, capsys, truth_doc):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"in": 3, "out": 1, "total": 4}))
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps(truth_doc))
+    code = main(["eval", "--report", str(report), "--truth", str(truth)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "true_" in captured.err
+
+
+@pytest.mark.parametrize("report_doc", [
+    {"in": 3.7, "out": True, "total": "4"},
+    {"in": 3.7, "out": 1, "total": 4},
+    {"in": 3, "out": True, "total": 4},
+    {"in": 3, "out": 1, "total": "4"},
+])
+def test_eval_report_counts_must_be_json_integers(tmp_path, capsys, report_doc):
+    # int() would read each of these as 3/1/4 and score 100.0
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(report_doc))
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"true_in": 3, "true_out": 1, "true_total": 4}))
+    code = main(["eval", "--report", str(report), "--truth", str(truth)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "integer" in captured.err
 
 
 def test_unknown_flag_rejected(tmp_path):

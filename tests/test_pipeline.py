@@ -79,7 +79,7 @@ def test_pipeline_equals_manual_stage_composition():
     events = []
     for frame in render_scene(scene):
         if model is None:
-            model = BackgroundModel(frame, cfg.alpha, cfg.threshold, cfg.warmup)
+            model = BackgroundModel(frame, cfg.alpha, cfg.threshold)
         else:
             model.update(frame)
         if frame.index < cfg.warmup:

@@ -72,6 +72,15 @@ def test_scene_spec_rejects_non_positive_geometry(field, value):
         SceneSpec.from_dict(doc)
 
 
+@pytest.mark.parametrize("field", ["width", "height", "frames", "seed",
+                                   "background_intensity", "noise_amplitude"])
+@pytest.mark.parametrize("value", [32.5, True, "40", None])
+def test_scene_spec_rejects_non_integer_fields(field, value):
+    doc = dict(scene([]).to_dict(), **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        SceneSpec.from_dict(doc)
+
+
 def test_actor_validation():
     with pytest.raises(ConfigError):
         ActorSpec(radius=1, start=(0, 0), velocity=(0, 0))

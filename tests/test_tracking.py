@@ -16,7 +16,7 @@ def kp(x, y):
 
 
 def track_at(tid, x, y, frame=0):
-    return Track(id=tid, history=[(frame, (float(x), float(y)))])
+    return Track(id=tid, last_frame=frame, position=(float(x), float(y)))
 
 
 def test_associate_within_gate():
@@ -95,6 +95,16 @@ def test_step_expires_immediately_at_zero_max_missed():
     assert tracker.tracks == []
 
 
+def test_step_keeps_track_at_its_miss_budget_while_another_expires():
+    tracker = Tracker(TrackerConfig(max_match_distance=20.0, max_missed=2))
+    tracker.step([kp(10, 10)], 0)
+    tracker.step([kp(100, 10)], 1)        # track 0 missed 1, track 1 spawned
+    tracker.step([], 2)                   # missed 2 and 1
+    spawned, expired = tracker.step([], 3)
+    assert expired == [0]
+    assert [(t.id, t.missed) for t in tracker.tracks] == [(1, 2)]
+
+
 def test_step_keeps_track_through_short_gap():
     tracker = Tracker(TrackerConfig(max_missed=2))
     tracker.step([kp(10, 10)], 0)
@@ -108,13 +118,12 @@ def test_step_keeps_track_through_short_gap():
 
 def test_step_single_moving_object_single_track():
     tracker = Tracker(TrackerConfig(max_match_distance=50.0))
+    observed = []
     for i in range(20):
         tracker.step([kp(40, 10 + 5 * i)], i)
+        observed += [(t.id, t.last_frame, t.position) for t in tracker.tracks]
     assert len(tracker.tracks) == 1
-    track = tracker.tracks[0]
-    assert track.id == 0
-    assert len(track.history) == 20
-    assert [f for f, _ in track.history] == list(range(20))
+    assert observed == [(0, i, (40.0, 10.0 + 5 * i)) for i in range(20)]
 
 
 def test_step_rejects_nonmonotone_frames():
