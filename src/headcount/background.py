@@ -1,15 +1,17 @@
 """Adaptive background estimate and binary foreground extraction.
 
-The background is a per-pixel exponential running average: on every frame
-``estimate = (1-alpha)*estimate + alpha*frame``. Foreground is any pixel whose
-absolute difference from the estimate exceeds a fixed threshold. Moving
-objects are not masked out of the update; entrance scenes are background most
-of the time, so the estimate stays clean and the update stays a pure linear
-recurrence with a provable convergence rate.
+The background is a per-pixel exponential running average, updated on every
+frame in the incremental form ``estimate += alpha*(frame - estimate)``.
+Foreground is any pixel whose absolute difference from the estimate exceeds a
+fixed threshold. Moving objects are not masked out of the update; entrance
+scenes are background most of the time, so the estimate stays clean and the
+update stays a pure linear recurrence with a provable convergence rate.
 
-Both per-frame steps work in place: the model owns one float64 scratch buffer
-the size of a frame, so the only frame-sized array a frame allocates is its
-boolean mask.
+The estimate is float32, or float64 where alpha is so small that float32
+would stall short of the threshold (``BackgroundModel`` gives the rule and
+how the threshold is rounded). Both per-frame steps work in place: the model
+owns one scratch buffer the size of a frame, in the estimate's dtype, so the
+only frame-sized array a frame allocates is its boolean mask.
 """
 
 from __future__ import annotations
@@ -53,18 +55,38 @@ def check_params(alpha: float, threshold: float) -> None:
         raise ConfigError(f"threshold must be in (0,255], got {threshold}")
 
 
+def _floor_to(dtype, value: float):
+    """The largest ``dtype`` value that is not above ``value``."""
+    rounded = dtype(value)
+    # compare as Python floats: under NEP 50 a Python float meeting a float32
+    # scalar is rounded to float32 first, and the two would compare equal
+    return np.nextafter(rounded, dtype(-np.inf)) if float(rounded) > value else rounded
+
+
 class BackgroundModel:
     """Running-average intensity model for one frame stream.
 
-    The estimate is kept in float64 so small learning rates do not stall on
-    integer quantization. Beside it the model owns a float64 scratch buffer of
-    the same shape, which ``update`` and ``subtract`` overwrite on every call;
-    neither step allocates a frame-sized temporary. The steps stay separate
-    and are not folded algebraically (``|f - e'| = (1-a)|f - e|`` rounds
-    differently), so the estimate and every mask are bit-identical to the
-    textbook formulas. One model per stream; it is single-owner mutable
-    state, scratch buffer included, and not safe to share between
-    concurrently processed streams.
+    The estimate and a scratch buffer of its shape are float32, which halves
+    the bytes each step streams. An incremental update is lost once
+    ``alpha*(frame - estimate)`` is under half a float32 spacing of the
+    estimate, at most 2**-17 near 255, so float32 can stall ``2**-17 / alpha``
+    levels short of a constant frame (0.76 at alpha 1e-5). The model is
+    float32 only while that gap is under ``threshold / 2``, that is for
+    ``alpha > 2**-16 / threshold``, and float64 otherwise, with the same
+    operations. The blend form ``(1-alpha)*estimate + alpha*frame`` is not
+    used: it rounds twice per step and its rounded ``1-alpha`` moves the
+    fixed point, so it has no such bound.
+
+    Alpha and the threshold are kept as scalars of the estimate's dtype, so
+    no step is promoted to float64. The threshold is the largest such value
+    not above ``threshold``: then a mask equals ``|frame - estimate| >
+    threshold`` for the difference rounded to the dtype, also for a threshold
+    such as 25.1 that float32 cannot hold.
+
+    ``update`` and ``subtract`` overwrite the scratch buffer on every call;
+    neither allocates a frame-sized temporary. One model per stream; it is
+    single-owner mutable state, scratch buffer included, and not safe to
+    share between concurrently processed streams.
     """
 
     def __init__(self, first: Frame, alpha: float = DEFAULT_ALPHA,
@@ -74,8 +96,11 @@ class BackgroundModel:
         self.height = first.height
         self.alpha = float(alpha)
         self.threshold = float(threshold)
-        self.estimate = first.pixels.astype(np.float64)
+        dtype = np.float32 if self.alpha > 2.0**-16 / self.threshold else np.float64
+        self.estimate = first.pixels.astype(dtype)
         self._scratch = np.empty_like(self.estimate)
+        self._alpha = dtype(self.alpha)
+        self._threshold = _floor_to(dtype, self.threshold)
 
     def _check_geometry(self, frame: Frame) -> None:
         if (frame.height, frame.width) != (self.height, self.width):
@@ -85,12 +110,12 @@ class BackgroundModel:
             )
 
     def update(self, frame: Frame) -> "BackgroundModel":
-        """Blend the frame into the estimate: (1-alpha)*estimate + alpha*frame,
-        in place, with alpha*frame formed in the scratch buffer."""
+        """Move the estimate toward the frame: estimate += alpha*(frame -
+        estimate), in place, with the step formed in the scratch buffer."""
         self._check_geometry(frame)
-        np.multiply(frame.pixels, self.alpha, out=self._scratch)
-        self.estimate *= 1.0 - self.alpha
-        self.estimate += self._scratch
+        step = np.subtract(frame.pixels, self.estimate, out=self._scratch)
+        step *= self._alpha
+        self.estimate += step
         return self
 
     def subtract(self, frame: Frame) -> BinaryMask:
@@ -102,7 +127,7 @@ class BackgroundModel:
         self._check_geometry(frame)
         diff = np.subtract(frame.pixels, self.estimate, out=self._scratch)
         np.abs(diff, out=diff)
-        return BinaryMask(diff > self.threshold)
+        return BinaryMask(diff > self._threshold)
 
 
 # Opening works on bit-packed rows. np.packbits puts column c at bit

@@ -177,6 +177,10 @@ def cmd_synth(args) -> int:
 
 def cmd_eval(args) -> int:
     n_in, n_out, n_total = _load_counts(args.report, ("in", "out", "total"))
+    if min(n_in, n_out) < 0 or n_total != n_in + n_out:
+        raise ConfigError(f"{args.report}: report counts must be >= 0 with "
+                          f"total == in + out, got in {n_in}, out {n_out}, "
+                          f"total {n_total}")
     truth = _load_truth(args.truth)
     result = {
         "in_accuracy": round(accuracy_pct(n_in, truth.true_in), 2),

@@ -99,30 +99,35 @@ class SceneSpec:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "SceneSpec":
-        # every scene field but the actors is an integer; a JSON 2.5 or true
-        # would otherwise reach range() or the pixel array
-        scalars = {name: doc[name] for name in ("width", "height", "frames",
-                                                "background_intensity",
-                                                "noise_amplitude", "seed")
-                   if name in doc}
-        for name, value in scalars.items():
-            if type(value) is not int:
-                raise ConfigError(f"scene {name} must be an integer, got {value!r}")
+        # every scene field but the actors is an integer, and so is every
+        # actor field but its start and velocity; a JSON 2.5 or true would
+        # otherwise reach range() or be truncated into the pixel array
+        scalars = _integers("scene", doc, ("width", "height", "frames",
+                                           "background_intensity",
+                                           "noise_amplitude", "seed"))
         try:
             actors = [
                 ActorSpec(
-                    radius=a["radius"],
                     start=tuple(a["start"]),
                     velocity=tuple(a["velocity"]),
-                    spawn_frame=a.get("spawn_frame", 0),
-                    despawn_frame=a.get("despawn_frame"),
-                    intensity=a.get("intensity", 255),
+                    **_integers("actor", a, ("radius", "spawn_frame",
+                                             "despawn_frame", "intensity")),
                 )
                 for a in doc.get("actors", [])
             ]
             return cls(**scalars, actors=actors)
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"invalid scene spec: {exc}") from exc
+
+
+def _integers(owner: str, doc: dict[str, Any], names: tuple) -> dict[str, int]:
+    """The fields of ``doc`` among ``names``, each a JSON integer (a null
+    despawn_frame stays null)."""
+    fields = {name: doc[name] for name in names if name in doc}
+    for name, value in fields.items():
+        if type(value) is not int and not (name == "despawn_frame" and value is None):
+            raise ConfigError(f"{owner} {name} must be an integer, got {value!r}")
+    return fields
 
 
 def render_frame(spec: SceneSpec, index: int) -> Frame:

@@ -95,10 +95,11 @@ def subtract_bruteforce(frame: np.ndarray, estimate: np.ndarray,
 
 def background_step_reference(estimate: np.ndarray, pixels: np.ndarray,
                               alpha: float) -> np.ndarray:
-    """One running-average step, (1-alpha)*estimate + alpha*frame, written
-    as the plain formula over fresh arrays: the same IEEE operations in the
-    same order as an in-place update, so the results must agree bit for bit."""
-    return estimate * (1.0 - alpha) + alpha * pixels.astype(np.float64)
+    """One float32 running-average step, estimate + alpha*(frame - estimate),
+    written as the plain formula over fresh arrays with a float32 alpha: the
+    same IEEE operations in the same order as an in-place update, so the
+    results must agree bit for bit."""
+    return estimate + np.float32(alpha) * (pixels.astype(np.float32) - estimate)
 
 
 def scan_zone_events(zones: str) -> list:

@@ -14,7 +14,7 @@ from oracles import (background_step_reference, dilate_bruteforce, erode_brutefo
 def test_init_copies_first_frame():
     model = BackgroundModel(uniform_frame(8, 8, 128), alpha=0.02)
     assert (model.estimate == 128.0).all()
-    assert model.estimate.dtype == np.float64
+    assert model.estimate.dtype == np.float32
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1])
@@ -44,14 +44,16 @@ def test_update_fixed_point_is_exact():
 
 
 def test_update_matches_scalar_recurrence():
-    # 200 constant-input updates; the remaining gap is ~3.5, not < 1
+    # 200 constant-input updates; the remaining gap is ~3.5, not < 1. The
+    # float32 estimate is spaced 2**-16 (1.5e-5) near 200, so it may sit a
+    # few of those spacings from the float64 recurrence
     model = BackgroundModel(uniform_frame(8, 8, 0), alpha=0.02)
     frame = uniform_frame(8, 8, 200)
     expected = 0.0
     for _ in range(200):
         model.update(frame)
         expected = (1.0 - 0.02) * expected + 0.02 * 200.0
-    assert model.estimate[3, 3] == pytest.approx(expected, abs=1e-9)
+    assert model.estimate[3, 3] == pytest.approx(expected, abs=1e-4)
     assert 200.0 - expected == pytest.approx(3.51758932, abs=1e-6)
 
 
@@ -132,7 +134,7 @@ def noise_frames(rng, count, shape=(36, 48), level=100, amplitude=40):
 def test_estimate_and_masks_equal_reference_bit_for_bit(rng):
     frames = list(noise_frames(rng, 101))
     model = BackgroundModel(frames[0], alpha=0.02, threshold=38.0)
-    estimate = frames[0].pixels.astype(np.float64)
+    estimate = frames[0].pixels.astype(np.float32)
     flagged = 0
     for frame in frames[1:]:
         model.update(frame)
@@ -143,6 +145,73 @@ def test_estimate_and_masks_equal_reference_bit_for_bit(rng):
         assert np.array_equal(mask.bits, expected)
         flagged += int(expected.sum())
     assert 0 < flagged < 100 * 36 * 48
+
+
+def test_float32_estimate_stays_near_float64_recurrence(rng):
+    # each step shrinks earlier rounding errors by (1 - alpha), so they do not
+    # pile up over a long stream
+    frames = noise_frames(rng, 10_001, shape=(48, 64))
+    first = next(frames)
+    model = BackgroundModel(first, alpha=0.02)
+    assert model.estimate.dtype == np.float32
+    estimate = first.pixels.astype(np.float64)
+    drift = 0.0
+    for frame in frames:
+        model.update(frame)
+        estimate = (1.0 - 0.02) * estimate + 0.02 * frame.pixels
+        drift = max(drift, float(np.abs(model.estimate - estimate).max()))
+    assert drift < 1e-3
+
+
+@pytest.mark.parametrize("threshold", [1.0, 25.0, 25.1, 255.0])
+def test_float32_only_above_the_stall_boundary(threshold):
+    # float32 stalls within 2**-17 / alpha levels of a constant input, and is
+    # used only while that gap is under threshold / 2
+    boundary = 2.0**-16 / threshold
+    frame = uniform_frame(4, 4, 0)
+    at = BackgroundModel(frame, alpha=boundary, threshold=threshold)
+    above = BackgroundModel(frame, alpha=np.nextafter(boundary, 1.0), threshold=threshold)
+    for model, dtype in ((at, np.float64), (above, np.float32)):
+        assert model.estimate.dtype == dtype
+        assert model._scratch.dtype == dtype
+
+
+@pytest.mark.parametrize("alpha, threshold, dtype", [
+    (1e-5, 25.0, np.float32),                # stalls at most 0.76 levels short
+    (2.0**-16 / 254.0, 254.0, np.float64),   # on the boundary
+])
+def test_step_edge_clears_mask_at_small_alpha(alpha, threshold, dtype):
+    model = BackgroundModel(uniform_frame(1, 1, 0), alpha=alpha, threshold=threshold)
+    assert model.estimate.dtype == dtype
+    step = uniform_frame(1, 1, 255)
+    assert model.subtract(step).bits.all()
+    # enough updates to close a 255-level gap to the threshold, 2% to spare
+    update = model.update
+    for _ in range(int(1.02 * np.log(255.0 / threshold) / alpha)):
+        update(step)
+    assert not model.subtract(step).bits.any()
+
+
+def test_subtract_threshold_float32_cannot_hold(rng):
+    # float32(25.1) lies above 25.1: a difference equal to it is foreground
+    # and one float32 spacing below it is not
+    spaced = (np.float32(25.1).view(np.int32) + np.arange(-4, 5, dtype=np.int32))
+    diffs = spaced.view(np.float32)
+    # the estimate lies below the frame in the first half and above it in the
+    # second, each differing from it by exactly one of ``diffs``
+    pixels = np.array([[50] * 9 + [0] * 9], dtype=np.uint8)
+    model = BackgroundModel(make_frame(pixels), threshold=25.1)
+    model.estimate[0] = np.concatenate([np.float32(50) - diffs, diffs])
+    mask = model.subtract(make_frame(pixels)).bits
+    assert np.array_equal(mask[0], np.tile(np.arange(-4, 5) >= 0, 2))
+    # and on noise: the float64 comparison of the float32 differences
+    frames = list(noise_frames(rng, 40))
+    model = BackgroundModel(frames[0], alpha=0.02, threshold=25.1)
+    for frame in frames[1:]:
+        model.update(frame)
+        diff = np.abs(frame.pixels.astype(np.float32) - model.estimate)
+        expected = diff.astype(np.float64) > 25.1
+        assert np.array_equal(model.subtract(frame).bits, expected)
 
 
 def test_subtract_masks_share_no_memory_and_frames_stay_untouched(rng):

@@ -96,6 +96,21 @@ def test_synth_non_integer_scene_field_is_config_error(tmp_path, capsys, field, 
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("field", ["radius", "spawn_frame", "despawn_frame", "intensity"])
+@pytest.mark.parametrize("value", [20.5, True, "20"])
+def test_synth_non_integer_actor_field_is_config_error(tmp_path, capsys, field, value):
+    # a float spawn_frame used to end in a range() traceback, and a float
+    # intensity was truncated into the frames
+    actors = [dict(SCENE["actors"][0], **{field: value}), SCENE["actors"][1]]
+    spec_path = write_scene(tmp_path, dict(SCENE, actors=actors))
+    code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert field in captured.err
+    assert not (tmp_path / "x").exists()
+
+
 def test_synth_requires_lines(tmp_path, capsys):
     scene = {k: v for k, v in SCENE.items() if k != "lines"}
     spec_path = write_scene(tmp_path, scene)
@@ -472,6 +487,25 @@ def test_eval_schema_mismatch(tmp_path, capsys):
     code = main(["eval", "--report", str(report), "--truth", str(truth)])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("report_doc", [
+    {"in": -3, "out": 1, "total": -2},
+    {"in": 3, "out": -1, "total": 2},
+    {"in": 3, "out": 1, "total": 9},
+    {"in": 3, "out": 1, "total": 3},
+])
+def test_eval_report_counts_must_be_consistent(tmp_path, capsys, report_doc):
+    # these used to score as -100.0/-50.0, 225.0 and so on, with exit 0
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(report_doc))
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"true_in": 3, "true_out": 1, "true_total": 4}))
+    code = main(["eval", "--report", str(report), "--truth", str(truth)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "total == in + out" in captured.err
 
 
 NON_INTEGER_TRUTHS = [

@@ -81,6 +81,19 @@ def test_scene_spec_rejects_non_integer_fields(field, value):
         SceneSpec.from_dict(doc)
 
 
+@pytest.mark.parametrize("field", ["radius", "spawn_frame", "despawn_frame", "intensity"])
+@pytest.mark.parametrize("value", [10.5, True, "10", None])
+def test_scene_spec_rejects_non_integer_actor_fields(field, value):
+    doc = scene([crosser(60.0)]).to_dict()
+    doc["actors"][0][field] = value
+    if field == "despawn_frame" and value is None:
+        # an actor that lives to the end of the scene
+        assert SceneSpec.from_dict(doc).actors[0].despawn_frame is None
+        return
+    with pytest.raises(ConfigError, match=field):
+        SceneSpec.from_dict(doc)
+
+
 def test_actor_validation():
     with pytest.raises(ConfigError):
         ActorSpec(radius=1, start=(0, 0), velocity=(0, 0))
