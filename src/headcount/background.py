@@ -92,22 +92,17 @@ class BackgroundModel:
     def __init__(self, first: Frame, alpha: float = DEFAULT_ALPHA,
                  threshold: float = DEFAULT_THRESHOLD):
         check_params(alpha, threshold)
-        self.width = first.width
-        self.height = first.height
-        self.alpha = float(alpha)
-        self.threshold = float(threshold)
-        dtype = np.float32 if self.alpha > 2.0**-16 / self.threshold else np.float64
+        dtype = np.float32 if alpha > 2.0**-16 / threshold else np.float64
         self.estimate = first.pixels.astype(dtype)
         self._scratch = np.empty_like(self.estimate)
-        self._alpha = dtype(self.alpha)
-        self._threshold = _floor_to(dtype, self.threshold)
+        self._alpha = dtype(alpha)
+        self._threshold = _floor_to(dtype, float(threshold))
 
     def _check_geometry(self, frame: Frame) -> None:
-        if (frame.height, frame.width) != (self.height, self.width):
-            raise ShapeError(
-                f"frame is {frame.width}x{frame.height}, "
-                f"model is {self.width}x{self.height}"
-            )
+        if frame.pixels.shape != self.estimate.shape:
+            height, width = self.estimate.shape
+            raise ShapeError(f"frame is {frame.width}x{frame.height}, "
+                             f"model is {width}x{height}")
 
     def update(self, frame: Frame) -> "BackgroundModel":
         """Move the estimate toward the frame: estimate += alpha*(frame -

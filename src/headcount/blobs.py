@@ -5,22 +5,20 @@ Foreground is split into horizontal row runs. A vectorized overlap search
 with the runs it touches in the row above, and rounds of root hooking and
 pointer jumping merge those pairs into connected components, with no Python
 loop over runs. The run table (row, start column, exclusive end column and
-component of every run) is the labeling: nothing per pixel is built unless a
-caller asks for the label image. Each component is measured from its own
-runs only (area, centroid and second moments in closed form, the convex hull
-from the end pixels of each run, the boundary length from a bounding-box
-crop), so detection cost grows with the number of runs rather than with
-components times frame area. Components are scored with the usual shape
-metrics (circularity, convexity, inertia ratio) and filtered to the round
-compact blobs a head produces. Coordinates are (x, y) with x the column and
-y the row.
+component of every run) is the labeling: no per-pixel label image is ever
+built. Each component is measured from its own runs only (area, centroid
+and second moments in closed form, the convex hull from the end pixels of
+each run, the boundary length from a bounding-box crop), so detection cost
+grows with the number of runs rather than with components times frame area.
+Components are scored with the usual shape metrics (circularity, convexity,
+inertia ratio) and filtered to the round compact blobs a head produces.
+Coordinates are (x, y) with x the column and y the row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -38,7 +36,8 @@ class ComponentLabels:
     Run ``i`` covers row ``srow[i]``, columns ``scol[i]`` up to but excluding
     ``ecol[i]``, and belongs to component ``run_component[i]``. Runs are in
     raster order; components are numbered 1..count in the raster order of
-    their first run, so equal masks always give identical tables.
+    their first run, so equal masks always give identical tables. The table
+    is the whole labeling: nothing per pixel and nothing derived is kept.
     """
 
     width: int
@@ -49,31 +48,10 @@ class ComponentLabels:
     run_component: np.ndarray
     count: int
 
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Per-pixel component ids, 0 = background; painted on first access."""
-        w = self.width
-        # +comp at each run start, -comp past each run end, then prefix-sum
-        delta = np.zeros(self.height * w + 1, dtype=np.int32)
-        delta[self.srow * w + self.scol] += self.run_component
-        delta[self.srow * w + self.ecol] -= self.run_component
-        return np.cumsum(delta[:-1], dtype=np.int32).reshape(self.height, w)
-
-    @cached_property
-    def _grouped(self) -> tuple[np.ndarray, np.ndarray]:
-        # run indices sorted by component (raster order kept within one
-        # component) and where each component's slice of them begins
-        order = np.argsort(self.run_component, kind="stable")
-        bounds = np.zeros(self.count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.run_component, minlength=self.count + 1)[1:],
-                  out=bounds[1:])
-        return order, bounds
-
     def runs(self, component_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, start columns and exclusive end columns of one component's
-        runs, in raster order."""
-        order, bounds = self._grouped
-        idx = order[bounds[component_id - 1]:bounds[component_id]]
+        runs, in raster order, found by one scan of the run table."""
+        idx = np.flatnonzero(self.run_component == component_id)
         return self.srow[idx], self.scol[idx], self.ecol[idx]
 
 

@@ -15,9 +15,8 @@ from pathlib import Path
 
 from .blobs import BlobFilterParams
 from .counting import LinePair
-from .errors import (ConfigError, EmptySequence, HeadcountError, OrderError,
-                     ParseError, ShapeError, TruncatedStream, UndefinedAccuracy,
-                     UnsupportedFormat)
+from .errors import (ConfigError, EmptySequence, HeadcountError, ParseError,
+                     TruncatedStream, UnsupportedFormat)
 from .frame_io import SequenceSpec, open_sequence, write_annotated
 from .metrics import GroundTruth, accuracy_pct
 from .pipeline import PARAMS, CountingPipeline, PipelineConfig
@@ -26,8 +25,6 @@ from .tracking import TrackerConfig
 from . import frame_io
 
 _IO_ERRORS = (OSError, ParseError, UnsupportedFormat, EmptySequence, TruncatedStream)
-_CONFIG_ERRORS = (ConfigError, UndefinedAccuracy, ShapeError, OrderError,
-                  json.JSONDecodeError)
 
 
 def _parse_lines(text) -> LinePair:
@@ -59,8 +56,11 @@ def _parse_geometry(text: str) -> tuple[int, int]:
 
 
 def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ConfigError(f"{path}: not a UTF-8 JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return doc
@@ -73,9 +73,11 @@ _SECTIONS = {None: PipelineConfig, "blob": BlobFilterParams, "tracker": TrackerC
 def _typed(key: str, value, kind: type, nullable: bool = False):
     """value if it has the JSON type ``kind``: booleans are never numbers, an
     integer is accepted where a number is asked for, and null only where
-    ``nullable``."""
+    ``nullable``. Integers must fit in 64 bits."""
     if value is None and nullable:
         return None
+    if type(value) is int and not -2**63 <= value < 2**63:
+        raise ConfigError(f"{key} is outside the 64-bit integer range, got {value}")
     if kind is float and type(value) is int:
         value = float(value)
     if type(value) is not kind:
@@ -150,9 +152,9 @@ def cmd_count(args) -> int:
 def cmd_synth(args) -> int:
     doc = _load_json(args.spec)
     lines_doc = doc.pop("lines", None)
-    scene = SceneSpec.from_dict(doc)
     if args.seed is not None:
-        scene.seed = args.seed
+        doc["seed"] = args.seed
+    scene = SceneSpec.from_dict(doc)
 
     lines = args.lines if args.lines is not None else lines_doc
     if lines is None:
@@ -236,9 +238,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _IO_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

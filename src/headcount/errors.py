@@ -42,4 +42,4 @@ class OrderError(HeadcountError):
 
 
 class UndefinedAccuracy(HeadcountError):
-    """Accuracy ratio undefined: true count is zero but counted > 0."""
+    """Accuracy ratio undefined: true count 0 but counted > 0, or beyond a float."""

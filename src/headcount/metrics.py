@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -33,7 +34,8 @@ def accuracy_pct(count: int, true_count: int) -> float:
 
     Overcounting yields values above 100 on purpose; clamping would hide it.
     Both zero is perfect agreement (100.0); counting something that truly
-    never happened has no defined ratio and raises UndefinedAccuracy.
+    never happened has no defined ratio and raises UndefinedAccuracy, and so
+    does a ratio too large for a float.
     """
     if true_count < 0:
         raise ConfigError(f"true count must be >= 0, got {true_count}")
@@ -41,7 +43,13 @@ def accuracy_pct(count: int, true_count: int) -> float:
         if count == 0:
             return 100.0
         raise UndefinedAccuracy(f"counted {count} with a true count of 0")
-    return count / true_count * 100.0
+    try:
+        pct = count / true_count * 100.0
+    except OverflowError:  # an integer quotient beyond the float range
+        pct = math.inf
+    if math.isinf(pct):
+        raise UndefinedAccuracy(f"{count} / {true_count} is too large for a float")
+    return pct
 
 
 @dataclass

@@ -14,7 +14,7 @@ from .background import (DEFAULT_ALPHA, DEFAULT_THRESHOLD, BackgroundModel,
                          check_params, morph_open)
 from .blobs import BlobFilterParams, BlobKeypoint, detect_blobs
 from .counting import Counters, CrossEvent, LinePair, advance, apply_event
-from .errors import ConfigError, EmptySequence, OrderError, ShapeError
+from .errors import ConfigError, EmptySequence, OrderError
 from .frame_io import Frame
 from .metrics import CountReport, GroundTruth, build_report
 from .tracking import Tracker, TrackerConfig
@@ -124,8 +124,6 @@ class CountingPipeline:
         if self._model is None:
             self._init_model(frame)
         else:
-            if (frame.width, frame.height) != (self._model.width, self._model.height):
-                raise ShapeError("frame geometry changed mid-stream")
             self._model.update(frame)
 
         if frame.index < self.config.warmup:

@@ -8,6 +8,8 @@ counting pipeline, which makes rendered scenes usable as end-to-end oracles.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
@@ -27,6 +29,7 @@ class ActorSpec:
     exists on frames spawn_frame <= f < despawn_frame (None = scene end).
     Pick an intensity that differs from the scene background by more than the
     pipeline's subtraction threshold or the actor will be invisible to it.
+    ``start`` and ``velocity`` (two finite numbers each) are kept as floats.
     """
 
     radius: int
@@ -37,10 +40,14 @@ class ActorSpec:
     intensity: int = 255
 
     def __post_init__(self):
+        self.start = _finite_pair("start", self.start)
+        self.velocity = _finite_pair("velocity", self.velocity)
         if self.radius < 2:
             raise ConfigError(f"actor radius must be >= 2, got {self.radius}")
         if not 0 <= self.intensity <= 255:
             raise ConfigError(f"intensity must be in [0,255], got {self.intensity}")
+        if self.spawn_frame < 0:
+            raise ConfigError(f"spawn_frame must be >= 0, got {self.spawn_frame}")
         if self.despawn_frame is not None and self.despawn_frame <= self.spawn_frame:
             raise ConfigError("despawn_frame must be after spawn_frame")
 
@@ -73,8 +80,10 @@ class SceneSpec:
                 raise ConfigError(f"scene {name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.background_intensity <= 255:
             raise ConfigError("background_intensity must be in [0,255]")
-        if self.noise_amplitude < 0:
-            raise ConfigError("noise_amplitude must be >= 0")
+        if not 0 <= self.noise_amplitude <= 255:
+            raise ConfigError("noise_amplitude must be in [0,255]")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -108,8 +117,8 @@ class SceneSpec:
         try:
             actors = [
                 ActorSpec(
-                    start=tuple(a["start"]),
-                    velocity=tuple(a["velocity"]),
+                    start=a["start"],
+                    velocity=a["velocity"],
                     **_integers("actor", a, ("radius", "spawn_frame",
                                              "despawn_frame", "intensity")),
                 )
@@ -120,13 +129,24 @@ class SceneSpec:
             raise ConfigError(f"invalid scene spec: {exc}") from exc
 
 
+def _finite_pair(name: str, value) -> tuple[float, float]:
+    """``value`` as two floats; ConfigError unless it is a list or tuple of
+    two finite numbers (a boolean is not a number, nor an int beyond a float)."""
+    if (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and abs(v) <= sys.float_info.max for v in value)):
+        return float(value[0]), float(value[1])
+    raise ConfigError(f"actor {name} must be two finite numbers, got {value!r}")
+
+
 def _integers(owner: str, doc: dict[str, Any], names: tuple) -> dict[str, int]:
-    """The fields of ``doc`` among ``names``, each a JSON integer (a null
-    despawn_frame stays null)."""
+    """The fields of ``doc`` among ``names``, each a JSON integer that fits in
+    64 bits (a null despawn_frame stays null)."""
     fields = {name: doc[name] for name in names if name in doc}
     for name, value in fields.items():
-        if type(value) is not int and not (name == "despawn_frame" and value is None):
-            raise ConfigError(f"{owner} {name} must be an integer, got {value!r}")
+        if not (type(value) is int and -2**63 <= value < 2**63
+                or name == "despawn_frame" and value is None):
+            raise ConfigError(f"{owner} {name} must be a 64-bit integer, got {value!r}")
     return fields
 
 

@@ -216,14 +216,26 @@ def hull_pixel_count(points: list) -> int:
     return (abs(twice_area) + boundary + 2) // 2
 
 
+def label_image(labels) -> np.ndarray:
+    """Per-pixel component ids (0 = background) painted from a run table:
+    +id at each run start and -id just past each run end, then a prefix sum
+    over the flattened frame."""
+    w = labels.width
+    delta = np.zeros(labels.height * w + 1, dtype=np.int32)
+    delta[labels.srow * w + labels.scol] += labels.run_component
+    delta[labels.srow * w + labels.ecol] -= labels.run_component
+    return np.cumsum(delta[:-1], dtype=np.int32).reshape(labels.height, w)
+
+
 def measure_fullframe(labels, component_id: int) -> BlobMeasurements:
     """Measure one component by scanning the whole painted label image and
     taking float means and the hull over every one of its pixels."""
-    ys, xs = np.nonzero(labels.labels == component_id)
+    image = label_image(labels)
+    ys, xs = np.nonzero(image == component_id)
     area = len(xs)
     y0, y1 = ys.min(), ys.max()
     x0, x1 = xs.min(), xs.max()
-    perimeter = crofton_perimeter(labels.labels[y0:y1 + 1, x0:x1 + 1] == component_id)
+    perimeter = crofton_perimeter(image[y0:y1 + 1, x0:x1 + 1] == component_id)
     # float sums of integers stay exact, so the means are correctly rounded
     dx = xs - float(xs.sum()) / area
     dy = ys - float(ys.sum()) / area

@@ -9,7 +9,8 @@ from headcount import (BinaryMask, BlobFilterParams, BlobMeasurements,
 from headcount.errors import ConfigError, DegenerateBlob, NotFound
 
 import headcount.blobs
-from oracles import disk_mask, disk_pixel_count, flood_fill_labels, measure_fullframe
+from oracles import (disk_mask, disk_pixel_count, flood_fill_labels, label_image,
+                     measure_fullframe)
 
 
 def mask_of(bits):
@@ -28,7 +29,7 @@ def blob_mask(points, shape):
 def test_label_empty_mask():
     labels = label_components(mask_of(np.zeros((8, 8))), 8)
     assert labels.count == 0
-    assert not labels.labels.any()
+    assert not label_image(labels).any()
 
 
 def test_label_diagonal_connectivity():
@@ -43,17 +44,17 @@ def test_label_order_is_raster_first_encounter():
     bits[0, 5] = True          # first in raster order
     bits[2, 0:3] = True
     bits[4, 6] = True
-    labels = label_components(mask_of(bits), 8)
-    assert labels.labels[0, 5] == 1
-    assert labels.labels[2, 0] == 2
-    assert labels.labels[4, 6] == 3
+    image = label_image(label_components(mask_of(bits), 8))
+    assert image[0, 5] == 1
+    assert image[2, 0] == 2
+    assert image[4, 6] == 3
 
 
 def test_label_deterministic():
     rng = np.random.default_rng(5)
     bits = rng.random((32, 32)) < 0.5
-    first = label_components(mask_of(bits), 8).labels
-    second = label_components(mask_of(bits), 8).labels
+    first = label_image(label_components(mask_of(bits), 8))
+    second = label_image(label_components(mask_of(bits), 8))
     assert np.array_equal(first, second)
 
 
@@ -69,7 +70,7 @@ def test_label_matches_flood_fill_oracle(rng):
         for conn in (4, 8):
             got = label_components(mask_of(bits), conn)
             expected = flood_fill_labels(bits, conn)
-            assert np.array_equal(got.labels, expected)
+            assert np.array_equal(label_image(got), expected)
             assert got.count == int(expected.max())
 
 
@@ -132,7 +133,7 @@ def test_label_matches_flood_fill_on_stress_shapes(shape, conn):
     # each run's component is the oracle label of its first pixel, and the
     # painted image checks that the runs cover exactly the labeled pixels
     assert np.array_equal(got.run_component, expected[got.srow, got.scol])
-    assert np.array_equal(got.labels, expected)
+    assert np.array_equal(label_image(got), expected)
 
 
 def test_label_stress_shapes_have_the_intended_components():
@@ -275,16 +276,23 @@ def test_detect_matches_fullframe_oracle_on_many_disks(monkeypatch):
 
 
 def test_label_image_is_painted_from_runs_on_demand(rng):
-    bits = rng.random((24, 40)) < 0.4
-    labels = label_components(mask_of(bits), 8)
-    assert "labels" not in vars(labels)
-    image = labels.labels
-    assert labels.labels is image
-    for cid in range(1, labels.count + 1):
-        rows, starts, ends = labels.runs(cid)
-        assert int((ends - starts).sum()) == int((image == cid).sum())
-        for y, s, e in zip(rows, starts, ends):
-            assert (image[y, s:e] == cid).all()
+    # runs(cid) returns exactly the pixels the oracle painter gives cid, in
+    # raster order, and the labeling keeps no state besides its run table
+    for _ in range(20):
+        bits = rng.random((24, 40)) < rng.uniform(0.1, 0.9)
+        for conn in (4, 8):
+            labels = label_components(mask_of(bits), conn)
+            image = label_image(labels)
+            for cid in range(1, labels.count + 1):
+                rows, starts, ends = labels.runs(cid)
+                painted = np.zeros_like(bits)
+                for y, s, e in zip(rows.tolist(), starts.tolist(), ends.tolist()):
+                    painted[y, s:e] = True
+                assert np.array_equal(painted, image == cid)
+                keys = rows * labels.width + starts
+                assert (np.diff(keys) > 0).all()
+            assert set(vars(labels)) == {"width", "height", "srow", "scol", "ecol",
+                                         "run_component", "count"}
 
 
 # ------------------------------------------------------------ shape metrics

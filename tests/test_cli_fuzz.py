@@ -1,0 +1,273 @@
+"""Seeded fuzz of the four JSON documents the CLI reads.
+
+Every key of a ``count --config``, ``synth --spec``, truth and ``eval
+--report`` document is set in turn to each value of a fixed set of bad ones
+(wrong JSON types, NaN and infinities, wrong list lengths, negative and huge
+integers, deep nesting) or removed, whole files are corrupted (bytes that are
+not UTF-8, truncation), and then seeded random mixes of those mutations are
+run. Each run goes through ``cli.main`` in-process and must return 0, 1 or 2
+without an exception escaping, and print nothing on stdout when it fails.
+
+Scenes stay at 64x64 pixels and 4 frames: a huge width, height or frame count
+that fits in 64 bits is a valid request for a scene too big to render here,
+so those three keys are never given one.
+"""
+
+import copy
+import json
+import math
+import random
+
+import pytest
+
+from headcount.cli import main
+from headcount.pipeline import PARAMS, PipelineConfig
+from headcount.counting import LinePair
+
+MISSING = object()
+# stand for arrays nested 100,000 deep (beyond what the JSON decoder takes)
+# and 900 deep (decoded, then rejected)
+DEEP, NESTED = "@deep@", "@nested@"
+DEEP_TEXT = "[" * 100_000 + "]" * 100_000
+NESTED_TEXT = "[" * 900 + "]" * 900
+
+BAD_VALUES = [
+    MISSING, "abc", "", True, False, None, {}, [], 0, 1.5, -0.5,
+    math.nan, math.inf, -math.inf,
+    [5], [5, 5, 5], ["a", "b"], [math.nan, 5], [True, 5], [5, math.inf], [1, 2],
+    -1, -5, -2**63, 2**62, 2**63, 10**400, DEEP, NESTED,
+]
+# fits in 64 bits, so a scene this big would be rendered
+HUGE_SIZES = (2**62,)
+SIZE_KEYS = ("width", "height", "frames")
+
+SCENE = {
+    "width": 64, "height": 64, "frames": 4, "background_intensity": 50,
+    "noise_amplitude": 5, "seed": 3, "lines": [20, 40],
+    "actors": [{"radius": 6, "start": [30.0, 10.0], "velocity": [0.0, 12.0],
+                "spawn_frame": 0, "despawn_frame": None, "intensity": 220}],
+}
+TRUTH = {"true_in": 1, "true_out": 0, "true_total": 1}
+REPORT = {"in": 1, "out": 0, "total": 1, "events": [], "params": {}}
+
+
+def base_config():
+    config = PipelineConfig(lines=LinePair(20, 40)).to_params_dict()
+    config.update(warmup=1, min_area=20)
+    return config
+
+
+def corrupt_bytes(data: bytes, how: str) -> bytes:
+    return {
+        "ff_suffix": data + b"\xff",
+        "ff_prefix": b"\xff" + data,
+        "latin1_key": data.replace(b"{", b'{"caf\xe9": 1, ', 1),
+        "utf16": data.decode("utf-8").encode("utf-16"),
+        "truncated": data[:len(data) // 2],
+        "empty": b"",
+        "array": b"[1, 2]",
+    }[how]
+
+
+CORRUPTIONS = ("ff_suffix", "ff_prefix", "latin1_key", "utf16", "truncated",
+               "empty", "array")
+
+
+def encode(doc) -> bytes:
+    text = json.dumps(doc)
+    text = text.replace(json.dumps(DEEP), DEEP_TEXT)
+    return text.replace(json.dumps(NESTED), NESTED_TEXT).encode("utf-8")
+
+
+def mutated(doc, path, value):
+    """A copy of ``doc`` with the key at ``path`` set to ``value`` (or
+    removed, for MISSING)."""
+    doc = copy.deepcopy(doc)
+    owner = doc
+    for step in path[:-1]:
+        owner = owner[step]
+    if value is MISSING:
+        owner.pop(path[-1], None)
+    else:
+        owner[path[-1]] = value
+    return doc
+
+
+def allowed(path, value) -> bool:
+    return not (path[-1] in SIZE_KEYS and value in HUGE_SIZES)
+
+
+@pytest.fixture(scope="module")
+def frames(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz_frames")
+    (root / "scene.json").write_text(json.dumps(SCENE))
+    assert main(["synth", "--spec", str(root / "scene.json"),
+                 "--out", str(root / "frames")]) == 0
+    return root / "frames"
+
+
+class Cli:
+    """Writes documents to a scratch directory and runs main on them."""
+
+    def __init__(self, tmp_path, capsys, frames):
+        self.tmp = tmp_path
+        self.capsys = capsys
+        self.frames = frames
+
+    def write(self, name, data: bytes) -> str:
+        path = self.tmp / name
+        path.write_bytes(data)
+        return str(path)
+
+    def run(self, argv) -> int:
+        code = main(argv)
+        captured = self.capsys.readouterr()
+        assert code in (0, 1, 2), (argv, code)
+        if code:
+            assert captured.out == "", argv
+            assert captured.err.startswith("error:"), argv
+        return code
+
+    def count(self, config: bytes, truth: bytes = None) -> int:
+        argv = ["count", "--input", str(self.frames),
+                "--config", self.write("config.json", config)]
+        if truth is not None:
+            argv += ["--truth", self.write("truth.json", truth)]
+        return self.run(argv)
+
+    def synth(self, spec: bytes, seed=None) -> int:
+        argv = ["synth", "--spec", self.write("spec.json", spec),
+                "--out", str(self.tmp / "out")]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        return self.run(argv)
+
+    def eval(self, report: bytes, truth: bytes) -> int:
+        return self.run(["eval", "--report", self.write("report.json", report),
+                         "--truth", self.write("truth.json", truth)])
+
+    def run_doc(self, kind: str, data: bytes) -> int:
+        """Run the command that reads a ``kind`` document, with ``data`` as
+        that document and valid ones for the rest."""
+        if kind == "config":
+            return self.count(data)
+        if kind == "spec":
+            return self.synth(data)
+        if kind == "truth":
+            return max(self.count(encode(base_config()), data),
+                       self.eval(encode(REPORT), data))
+        return self.eval(data, encode(TRUTH))
+
+
+@pytest.fixture
+def cli(tmp_path, capsys, frames):
+    return Cli(tmp_path, capsys, frames)
+
+
+def bases():
+    return {"config": base_config(), "spec": SCENE, "truth": TRUTH, "report": REPORT}
+
+
+def key_paths(kind):
+    doc = bases()[kind]
+    paths = [(key,) for key in doc]
+    if kind == "spec":
+        paths += [("actors", 0, key) for key in doc["actors"][0]]
+    return paths
+
+
+def test_config_document_covers_every_param():
+    assert set(base_config()) == {"lines", *PARAMS}
+
+
+@pytest.mark.parametrize("kind", ["config", "spec", "truth", "report"])
+def test_valid_documents_succeed(cli, kind):
+    assert cli.run_doc(kind, encode(bases()[kind])) == 0
+
+
+@pytest.mark.parametrize("kind,path", [(kind, path)
+                                      for kind in ("config", "spec", "truth", "report")
+                                      for path in key_paths(kind)],
+                         ids=lambda p: ".".join(map(str, p)) if isinstance(p, tuple) else p)
+def test_every_key_takes_every_bad_value(cli, kind, path):
+    for value in BAD_VALUES:
+        if allowed(path, value):
+            cli.run_doc(kind, encode(mutated(bases()[kind], path, value)))
+
+
+@pytest.mark.parametrize("kind", ["config", "spec", "truth", "report"])
+@pytest.mark.parametrize("how", CORRUPTIONS)
+def test_corrupt_document_is_config_error(cli, kind, how):
+    assert cli.run_doc(kind, corrupt_bytes(encode(bases()[kind]), how)) == 2
+
+
+@pytest.mark.parametrize("seed", [-5, -1, 0, 7, 2**63, 10**400],
+                         ids=["-5", "-1", "0", "7", "2**63", "10**400"])
+def test_synth_seed_flag(cli, seed):
+    code = cli.synth(encode(SCENE), seed)
+    assert code == (0 if 0 <= seed < 2**63 else 2)
+
+
+def test_random_mixes_of_mutations(cli):
+    rng = random.Random(20261018)
+    for _ in range(300):
+        kind = rng.choice(["config", "spec", "truth", "report"])
+        doc = bases()[kind]
+        # actor keys first, while the actor list they live in is intact
+        for path in sorted(rng.sample(key_paths(kind), rng.randint(1, 3)),
+                           key=len, reverse=True):
+            value = rng.choice(BAD_VALUES)
+            if allowed(path, value):
+                doc = mutated(doc, path, value)
+        data = encode(doc)
+        if rng.random() < 0.1:
+            data = corrupt_bytes(data, rng.choice(CORRUPTIONS))
+        cli.run_doc(kind, data)
+
+
+# Inputs that ended in a traceback, or were accepted, before scene specs and
+# CLI documents were validated; each must now exit 2.
+REPORTED = {
+    "config_not_utf8": ("config", lambda: corrupt_bytes(encode(base_config()), "ff_suffix")),
+    "truth_not_utf8": ("truth", lambda: corrupt_bytes(encode(TRUTH), "latin1_key")),
+    "report_not_utf8": ("report", lambda: corrupt_bytes(encode(REPORT), "ff_prefix")),
+    "spec_not_utf8": ("spec", lambda: corrupt_bytes(encode(SCENE), "ff_suffix")),
+    "config_deeply_nested": ("config", lambda: DEEP_TEXT.encode()),
+    "spec_key_deeply_nested": ("spec", lambda: encode(mutated(SCENE, ("seed",), DEEP))),
+    "report_in_beyond_float": ("report", lambda: b'{"in": 1' + b"0" * 400
+                               + b', "out": 0, "total": 1' + b"0" * 400 + b"}"),
+    "actor_start_string": ("spec", lambda: encode(mutated(SCENE, ("actors", 0, "start"), "ab"))),
+    "actor_start_one_number": ("spec", lambda: encode(mutated(SCENE, ("actors", 0, "start"), [5]))),
+    "actor_start_three_numbers": ("spec", lambda: encode(
+        mutated(SCENE, ("actors", 0, "start"), [5, 5, 5]))),
+    "actor_start_nan": ("spec", lambda: encode(
+        mutated(SCENE, ("actors", 0, "start"), [math.nan, 5]))),
+    "actor_start_boolean": ("spec", lambda: encode(
+        mutated(SCENE, ("actors", 0, "start"), [True, 5]))),
+    "actor_velocity_infinite": ("spec", lambda: encode(
+        mutated(SCENE, ("actors", 0, "velocity"), [0, math.inf]))),
+    "actor_spawn_before_scene": ("spec", lambda: encode(
+        mutated(SCENE, ("actors", 0, "spawn_frame"), -1))),
+    "spec_negative_seed": ("spec", lambda: encode(mutated(SCENE, ("seed",), -1))),
+    "spec_noise_beyond_int16": ("spec", lambda: encode(
+        mutated(SCENE, ("noise_amplitude",), 40000))),
+    "spec_noise_above_255": ("spec", lambda: encode(mutated(SCENE, ("noise_amplitude",), 256))),
+    "config_float_beyond_float_range": ("config", lambda: encode(
+        mutated(base_config(), ("alpha",), 10**400))),
+    "config_min_area_beyond_float_range": ("config", lambda: encode(
+        mutated(base_config(), ("min_area",), 10**400))),
+    "actor_radius_beyond_float_range": ("spec", lambda: encode(
+        mutated(SCENE, ("actors", 0, "radius"), 10**400))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTED))
+def test_reported_input_is_config_error(cli, name):
+    kind, data = REPORTED[name]
+    assert cli.run_doc(kind, data()) == 2
+
+
+def test_synth_negative_seed_flag_writes_nothing(cli):
+    assert cli.synth(encode(SCENE), -5) == 2
+    assert not (cli.tmp / "out").exists()
+

@@ -41,6 +41,14 @@ def test_accuracy_undefined():
         accuracy_pct(3, 0)
 
 
+@pytest.mark.parametrize("count,true_count", [(10**400, 1), (10**307, 1)])
+def test_accuracy_beyond_float_range_is_undefined(count, true_count):
+    # the first quotient overflows int / int, the second only its * 100
+    with pytest.raises(UndefinedAccuracy):
+        accuracy_pct(count, true_count)
+    assert accuracy_pct(count, count) == 100.0
+
+
 def test_accuracy_negative_truth_rejected():
     with pytest.raises(ConfigError):
         accuracy_pct(3, -1)
