@@ -7,8 +7,8 @@ pointer jumping merge those pairs into connected components, with no Python
 loop over runs. The run table (row, start column, exclusive end column and
 component of every run) is the labeling: no per-pixel label image is ever
 built. Each component is measured from its own runs only (area, centroid
-and second moments in closed form, the convex hull from the end pixels of
-each run, the boundary length from a bounding-box crop), so detection cost
+and second moments in closed form, the convex hull from the outermost pixels
+of each row, the boundary length from a bounding-box crop), so detection cost
 grows with the number of runs rather than with components times frame area.
 Components are scored with the usual shape metrics (circularity, convexity,
 inertia ratio) and filtered to the round compact blobs a head produces.
@@ -181,43 +181,36 @@ def _perimeter_crofton(p: np.ndarray) -> float:
     return math.pi / 8.0 * (n_h + n_v + n_d / _SQRT2)
 
 
-def _convex_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    # Andrew monotone chain; strict turns, so collinear inputs yield < 3 vertices
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
+def _hull_pixel_count(lefts: list[int], rights: list[int]) -> int:
+    """Pixels covered by the convex hull of a component whose row y spans
+    columns lefts[y]..rights[y], for rows y = 0, 1, ...; 0 if collinear.
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    hull: list[tuple[int, int]] = []
-    for chain in (pts, pts[::-1]):
-        base = len(hull)
-        for p in chain:
-            while len(hull) - base >= 2 and cross(hull[-2], hull[-1], p) <= 0:
-                hull.pop()
-            hull.append(p)
-        hull.pop()
-    return hull
-
-
-def _hull_pixel_count(points: list[tuple[int, int]]) -> int:
-    """Pixels covered by the convex hull of integer points; 0 if degenerate.
-
+    The hull's right side is the chain of the rightmost pixels taken down
+    the rows, its left side that of the leftmost pixels taken back up, each
+    keeping strict turns only; the rows come in order, so nothing is sorted.
     Integer-exact via the shoelace polygon area plus Pick's theorem:
     covered = interior + boundary = area + boundary/2 + 1.
     """
-    hull = _convex_hull(points)
-    if len(hull) < 3:
-        return 0
-    twice_area = 0
-    boundary = 0
+    n = len(lefts)
+    hull: list[tuple[int, int]] = []
+    for side in (zip(rights, range(n)), zip(reversed(lefts), range(n - 1, -1, -1))):
+        base = len(hull) + 1
+        for p in side:
+            x, y = p
+            while len(hull) > base:
+                (ox, oy), (ax, ay) = hull[-2], hull[-1]
+                if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                    break
+                hull.pop()
+            hull.append(p)
+    twice_area = boundary = 0
     for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]):
         twice_area += x1 * y2 - x2 * y1
-        boundary += math.gcd(abs(x2 - x1), abs(y2 - y1))
-    twice_area = abs(twice_area)
+        boundary += math.gcd(x2 - x1, y2 - y1)
+    if twice_area == 0:
+        return 0
     # twice_area and boundary are both even or both odd, sum below is integral
-    return (twice_area + boundary + 2) // 2
+    return (abs(twice_area) + boundary + 2) // 2
 
 
 def measure(labels: ComponentLabels, component_id: int) -> BlobMeasurements:
@@ -235,14 +228,19 @@ def measure(labels: ComponentLabels, component_id: int) -> BlobMeasurements:
     # corner (x0, y0); run [a, b] contributes sum x = (a+b)(b-a+1)/2 and
     # sum x^2 = S(b) - S(a-1) with S(k) = k(k+1)(2k+1)/6
     area = sx = sy = sxx = syy = sxy = 0
-    # the hull of a component is the hull of its run end pixels
-    points = []
+    # each row's outermost pixels; a component's rows are contiguous and its
+    # runs in raster order, so row y opens with its leftmost run
+    lefts, rights = [], []
     crop = np.zeros((y1 - y0 + 3, x1 - x0 + 3), dtype=bool)
     for y, s, e in zip(rows, starts, ends):
-        points += ((s, y), (e - 1, y))
         y -= y0
         a = s - x0
         b = e - 1 - x0
+        if y == len(lefts):
+            lefts.append(a)
+            rights.append(b)
+        else:
+            rights[-1] = b
         n = b - a + 1
         rx = (a + b) * n // 2
         area += n
@@ -260,7 +258,7 @@ def measure(labels: ComponentLabels, component_id: int) -> BlobMeasurements:
         perimeter=_perimeter_crofton(crop),
         # one rounding of the exact coordinate sum, as a mean over pixels gives
         centroid=((x0 * area + sx) / area, (y0 * area + sy) / area),
-        hull_area=float(_hull_pixel_count(points)),
+        hull_area=float(_hull_pixel_count(lefts, rights)),
         second_moments=((area * sxx - sx * sx) / nn,
                         (area * syy - sy * sy) / nn,
                         (area * sxy - sx * sy) / nn),

@@ -161,6 +161,7 @@ def cmd_synth(args) -> int:
         raise ConfigError("counting lines are required to compute ground truth "
                           "(--lines or a \"lines\" entry in the scene spec)")
     lines = _parse_lines(lines)
+    lines.check_fits(scene.height)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

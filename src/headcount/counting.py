@@ -35,8 +35,8 @@ class Direction(str, enum.Enum):
 class LinePair:
     """The two counting rows. The IN line must lie above the OUT line and no
     higher than row 1, so that zone A (the rows above it) is not empty. That
-    the OUT line leaves zone B a row depends on the frame height, which the
-    pipeline checks."""
+    the OUT line leaves zone B a row depends on the frame height; see
+    ``check_fits``."""
 
     line_in_y: int
     line_out_y: int
@@ -48,6 +48,15 @@ class LinePair:
             raise ConfigError(
                 f"line_in_y ({self.line_in_y}) must be above "
                 f"line_out_y ({self.line_out_y})"
+            )
+
+    def check_fits(self, height: int) -> None:
+        """Raise ConfigError unless zone B, the rows below the OUT line, has
+        a row in a frame of ``height`` rows."""
+        if self.line_out_y > height - 2:
+            raise ConfigError(
+                f"counting lines {self.line_in_y},{self.line_out_y} do not fit "
+                f"a frame of height {height}: line_out_y must be <= {height - 2}"
             )
 
 

@@ -67,7 +67,7 @@ class SequenceSpec:
         self.source = Path(self.source)
 
 
-def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
+def _read_header_token(path, data: bytes, pos: int) -> tuple[bytes, int]:
     # skip whitespace and '#' comments, then take one token
     n = len(data)
     while pos < n:
@@ -83,7 +83,7 @@ def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and data[pos:pos + 1] not in _WHITESPACE:
         pos += 1
     if start == pos:
-        raise ParseError("unexpected end of PGM header")
+        raise ParseError(f"{path}: unexpected end of PGM header")
     return data[start:pos], pos
 
 
@@ -94,16 +94,19 @@ def load_frame(path, index: int = 0) -> Frame:
     (including ASCII "P2" files) and UnsupportedFormat when maxval is not 255.
     """
     data = Path(path).read_bytes()
-    magic, pos = _read_header_token(data, 0)
+    magic, pos = _read_header_token(path, data, 0)
     if magic == b"P2":
         raise ParseError(f"{path}: ASCII PGM (P2) is not supported, use binary P5")
     if magic != b"P5":
         raise ParseError(f"{path}: not a binary PGM file (magic {magic!r})")
     fields = []
     for name in ("width", "height", "maxval"):
-        token, pos = _read_header_token(data, pos)
+        token, pos = _read_header_token(path, data, pos)
         try:
-            value = int(token)
+            # ASCII digits only: int() would also take "+16" and "1_6"
+            if not token.isdigit():
+                raise ValueError
+            value = int(token)  # raises past the interpreter's digit limit
         except ValueError:
             raise ParseError(f"{path}: non-numeric {name} field {token!r}") from None
         if value <= 0:

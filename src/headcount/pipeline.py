@@ -104,13 +104,7 @@ class CountingPipeline:
                 f"frames must be at least {MIN_FRAME_SIDE}x{MIN_FRAME_SIDE}, "
                 f"got {frame.width}x{frame.height}"
             )
-        # zone B is the rows below the OUT line, so that line must leave one
-        if self.config.lines.line_out_y > frame.height - 2:
-            raise ConfigError(
-                f"counting lines {self.config.lines.line_in_y},"
-                f"{self.config.lines.line_out_y} do not fit a frame of height "
-                f"{frame.height}: line_out_y must be <= {frame.height - 2}"
-            )
+        self.config.lines.check_fits(frame.height)
         self._model = BackgroundModel(frame, alpha=self.config.alpha,
                                       threshold=self.config.threshold)
 

@@ -9,8 +9,8 @@ from headcount import (BinaryMask, BlobFilterParams, BlobMeasurements,
 from headcount.errors import ConfigError, DegenerateBlob, NotFound
 
 import headcount.blobs
-from oracles import (disk_mask, disk_pixel_count, flood_fill_labels, label_image,
-                     measure_fullframe)
+from oracles import (disk_mask, disk_pixel_count, flood_fill_labels,
+                     hull_pixel_count, label_image, measure_fullframe)
 
 
 def mask_of(bits):
@@ -357,6 +357,52 @@ def test_convexity_collinear_pixels_degenerate():
         labels = label_components(blob_mask(pts, (8, 8)), 8)
         with pytest.raises(DegenerateBlob):
             convexity(measure(labels, 1))
+
+
+# shapes whose hulls the per-row extremes must get right; the collinear ones
+# span no hull
+COLLINEAR_SHAPES = {
+    "single_row": ["#####"],
+    "single_column": ["#", "#", "#", "#"],
+    "diagonal": ["#...", ".#..", "..#.", "...#"],
+    "two_pixels_across": ["##"],
+    "two_pixels_down": ["#", "#"],
+    "two_pixels_diagonal": ["#.", ".#"],
+}
+HULL_SHAPES = {
+    **COLLINEAR_SHAPES,
+    # a row's leftmost and rightmost pixels lie in different runs
+    "u": ["#...#", "#...#", "#...#", "#####"],
+    "c": ["#####", "#....", "#....", "#####"],
+    "comb": ["#.#.#.#", "#.#.#.#", "#.#.#.#", "#######"],
+    "concave_left": ["######", "...###", "....##", "...###", "######"],
+    "concave_left_steps": ["..####", "....##", "....##", ".#####", "######"],
+    # rows whose leftmost and rightmost pixels are the same pixel
+    "diamond": ["..#..", ".###.", "#####", ".###.", "..#.."],
+    "hourglass": ["#####", ".###.", "..#..", ".###.", "#####"],
+    "offset_tips": ["...#", "####", "#..."],
+    "l_corner": ["#..", "#..", "###"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HULL_SHAPES))
+def test_hull_area_equals_every_pixel_oracle(name):
+    bits = np.pad([[c == "#" for c in row] for row in HULL_SHAPES[name]], 2)
+    for conn in (4, 8):
+        labels = label_components(mask_of(bits), conn)
+        image = label_image(labels)
+        for cid in range(1, labels.count + 1):
+            ys, xs = np.nonzero(image == cid)
+            want = hull_pixel_count(list(zip(xs.tolist(), ys.tolist())))
+            assert measure(labels, cid).hull_area == want
+    labels = label_components(mask_of(bits), 8)
+    assert labels.count == 1
+    m = measure(labels, 1)
+    if name in COLLINEAR_SHAPES:
+        with pytest.raises(DegenerateBlob):
+            convexity(m)
+    else:
+        assert m.hull_area >= m.area
 
 
 def test_convexity_never_exceeds_one(rng):

@@ -119,6 +119,25 @@ def test_synth_requires_lines(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("lines,extra", [([5, 1000], []), ([40, 119], []),
+                                         ([40, 80], ["--lines", "40,119"])])
+def test_synth_lines_outside_scene_write_nothing(tmp_path, capsys, lines, extra):
+    # SCENE is 120 rows, so zone B needs line_out_y <= 118; such lines used to
+    # give a truth of 0/0/0 with exit 0, and count now says the same as synth
+    spec_path = write_scene(tmp_path, dict(SCENE, lines=lines))
+    code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x"), *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert not (tmp_path / "x").exists()
+    out_dir = synth(tmp_path)
+    capsys.readouterr()
+    used = extra[1] if extra else ",".join(map(str, lines))
+    code, out, err = run_count(capsys, "--input", str(out_dir), "--lines", used)
+    assert (code, out, err) == (2, "", captured.err)
+    assert "line_out_y must be <= 118" in err
+
+
 def test_synth_eight_by_eight_truth(tmp_path, capsys):
     actors = []
     for wave in range(4):

@@ -122,6 +122,7 @@ class Cli:
     def run(self, argv) -> int:
         code = main(argv)
         captured = self.capsys.readouterr()
+        self.err = captured.err
         assert code in (0, 1, 2), (argv, code)
         if code:
             assert captured.out == "", argv
@@ -271,3 +272,44 @@ def test_synth_negative_seed_flag_writes_nothing(cli):
     assert cli.synth(encode(SCENE), -5) == 2
     assert not (cli.tmp / "out").exists()
 
+
+# Corrupted PGM headers: the second frame of the scene is replaced and count
+# must stop on it with exit 1 and name it; a well-formed frame of another
+# size is a geometry error (exit 2) instead.
+RASTER = bytes(64 * 64)
+PGM_CASES = {
+    "empty": b"",
+    "bare_magic": b"P5",
+    "ascii_p2": b"P2\n64 64\n255\n" + b"0 " * 64 * 64,
+    "colour_p6": b"P6\n64 64\n255\n" + RASTER * 3,
+    "non_numeric": b"P5\nab 64\n255\n" + RASTER,
+    "zero": b"P5\n0 64\n255\n" + RASTER,
+    "negative": b"P5\n-64 64\n255\n" + RASTER,
+    "twenty_digits": b"P5\n" + b"9" * 20 + b" 64\n255\n" + RASTER,
+    "beyond_int_digit_limit": b"P5\n" + b"9" * 5000 + b" 64\n255\n" + RASTER,
+    "underscore_width": b"P5\n6_4 64\n255\n" + RASTER,
+    "underscore_maxval": b"P5\n64 64\n2_55\n" + RASTER,
+    "plus_height": b"P5\n64 +64\n255\n" + RASTER,
+    "maxval_65535": b"P5\n64 64\n65535\n" + RASTER * 2,
+    "no_whitespace_after_maxval": b"P5\n64 64\n255",
+    "unterminated_comment": b"P5\n64 64\n# no end of line",
+    "truncated_raster": b"P5\n64 64\n255\n" + RASTER[:100],
+    "other_size": b"P5\n32 32\n255\n" + bytes(32 * 32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PGM_CASES))
+def test_corrupted_pgm_header(cli, tmp_path, case):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for path in cli.frames.glob("*.pgm"):
+        (frames / path.name).write_bytes(path.read_bytes())
+    bad = frames / "000001.pgm"
+    bad.write_bytes(PGM_CASES[case])
+    config = cli.write("config.json", encode(base_config()))
+    code = cli.run(["count", "--input", str(frames), "--config", config])
+    if case == "other_size":
+        assert code == 2
+    else:
+        assert code == 1
+        assert str(bad) in cli.err

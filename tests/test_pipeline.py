@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -252,3 +253,36 @@ def test_config_rejects_non_finite_background_params(name, value):
     # rejected at construction, before a frame is read
     with pytest.raises(ConfigError):
         config(**{name: value})
+
+
+def golden_scene():
+    # six lanes, each with a head going down and a larger or smaller one
+    # coming up that merges with it on the way; sub-pixel starts vary the
+    # disks' outlines, and with no noise no random stream is drawn
+    actors = []
+    for i in range(6):
+        x = 27.0 + 53.3 * i
+        actors.append(ActorSpec(radius=7 + i, start=(x, 10.0 + 0.25 * i),
+                                velocity=(0.0, 4.0), spawn_frame=32 + 6 * i,
+                                despawn_frame=88 + 6 * i, intensity=220))
+        actors.append(ActorSpec(radius=12 - i, start=(x + 0.5, 230.0 - 0.25 * i),
+                                velocity=(0.0, -3.5), spawn_frame=60 + 5 * i,
+                                despawn_frame=124 + 5 * i, intensity=200))
+    return SceneSpec(width=320, height=240, frames=150, background_intensity=50,
+                     noise_amplitude=0, seed=0, actors=actors)
+
+
+# the SHA-256 of that scene's report; change it only with a change that
+# means to alter reports, and say why
+GOLDEN_REPORT_SHA256 = "720810320c5a0f588f7e5d9b99ea74ca91772b61413ba661fec629d8b53d9969"
+
+
+def test_golden_report_bytes():
+    # pins the exact report of a fixed scene, so a refactor of a hot path
+    # that changes any count, event, track id or parameter shows here
+    scene = golden_scene()
+    lines = LinePair(100, 140)
+    truth, _ = ground_truth_events(scene, lines)
+    report = run(render_scene(scene), PipelineConfig(lines=lines), truth).to_json()
+    assert (truth.true_in, truth.true_out) == (6, 6)
+    assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_REPORT_SHA256
