@@ -9,8 +9,9 @@ update stays a pure linear recurrence with a provable convergence rate.
 
 The estimate is float32, or float64 where alpha is so small that float32
 would stall short of the threshold (``BackgroundModel`` gives the rule and
-how the threshold is rounded). Both per-frame steps work in place: the model
-owns one scratch buffer the size of a frame, in the estimate's dtype, so the
+how the threshold is rounded). Both per-frame steps walk the frame in blocks
+of rows, in place: the model owns one scratch buffer of one block, in the
+estimate's dtype, so each block's passes run on data still in cache and the
 only frame-sized array a frame allocates is its boolean mask.
 """
 
@@ -25,6 +26,9 @@ from .frame_io import Frame
 
 DEFAULT_ALPHA = 0.02
 DEFAULT_THRESHOLD = 25.0
+# pixels per block of rows in a per-frame step: a block is
+# max(1, BLOCK_PIXELS // width) rows, 51 at 640 wide (128 kB of float32)
+BLOCK_PIXELS = 2**15
 
 
 @dataclass(eq=False)
@@ -66,9 +70,9 @@ def _floor_to(dtype, value: float):
 class BackgroundModel:
     """Running-average intensity model for one frame stream.
 
-    The estimate and a scratch buffer of its shape are float32, which halves
-    the bytes each step streams. An incremental update is lost once
-    ``alpha*(frame - estimate)`` is under half a float32 spacing of the
+    The estimate and a scratch buffer of one block of its rows are float32,
+    which halves the bytes each step streams. An incremental update is lost
+    once ``alpha*(frame - estimate)`` is under half a float32 spacing of the
     estimate, at most 2**-17 near 255, so float32 can stall ``2**-17 / alpha``
     levels short of a constant frame (0.76 at alpha 1e-5). The model is
     float32 only while that gap is under ``threshold / 2``, that is for
@@ -83,8 +87,11 @@ class BackgroundModel:
     threshold`` for the difference rounded to the dtype, also for a threshold
     such as 25.1 that float32 cannot hold.
 
-    ``update`` and ``subtract`` overwrite the scratch buffer on every call;
-    neither allocates a frame-sized temporary. One model per stream; it is
+    ``update`` and ``subtract`` walk the frame one block of rows at a time.
+    Each block casts the frame's rows into the scratch buffer (exact for
+    uint8) and subtracts the estimate's rows there, the same IEEE operations
+    as one whole-frame step, so the block size never changes a result.
+    Neither step allocates a float temporary. One model per stream; it is
     single-owner mutable state, scratch buffer included, and not safe to
     share between concurrently processed streams.
     """
@@ -94,35 +101,51 @@ class BackgroundModel:
         check_params(alpha, threshold)
         dtype = np.float32 if alpha > 2.0**-16 / threshold else np.float64
         self.estimate = first.pixels.astype(dtype)
-        self._scratch = np.empty_like(self.estimate)
+        height, width = self.estimate.shape
+        block = max(1, BLOCK_PIXELS // width)
+        self._scratch = np.empty((min(block, height), width), dtype=dtype)
         self._alpha = dtype(alpha)
         self._threshold = _floor_to(dtype, float(threshold))
 
-    def _check_geometry(self, frame: Frame) -> None:
+    def _differences(self, frame: Frame):
+        """Yield (top row, estimate rows, frame rows - estimate rows) for each
+        block of rows in turn; the difference is in the scratch buffer, so it
+        is overwritten by the next block."""
         if frame.pixels.shape != self.estimate.shape:
             height, width = self.estimate.shape
-            raise ShapeError(f"frame is {frame.width}x{frame.height}, "
+            raise ShapeError(f"frame {frame.index} is {frame.width}x{frame.height}, "
                              f"model is {width}x{height}")
+        pixels, estimate, scratch = frame.pixels, self.estimate, self._scratch
+        block = len(scratch)
+        for top in range(0, len(pixels), block):
+            rows = estimate[top:top + block]
+            diff = scratch[:len(rows)]
+            np.copyto(diff, pixels[top:top + block])
+            diff -= rows
+            yield top, rows, diff
 
     def update(self, frame: Frame) -> "BackgroundModel":
         """Move the estimate toward the frame: estimate += alpha*(frame -
-        estimate), in place, with the step formed in the scratch buffer."""
-        self._check_geometry(frame)
-        step = np.subtract(frame.pixels, self.estimate, out=self._scratch)
-        step *= self._alpha
-        self.estimate += step
+        estimate), in place, with each block's step formed in the scratch
+        buffer."""
+        alpha = self._alpha
+        for _, rows, step in self._differences(frame):
+            step *= alpha
+            rows += step
         return self
 
     def subtract(self, frame: Frame) -> BinaryMask:
         """Foreground mask: |frame - estimate| > threshold, per pixel.
 
-        The difference is taken in the scratch buffer; the returned mask is a
-        fresh array that shares memory with nothing the model keeps.
+        The differences are taken in the scratch buffer; the returned mask is
+        a fresh array that shares memory with nothing the model keeps.
         """
-        self._check_geometry(frame)
-        diff = np.subtract(frame.pixels, self.estimate, out=self._scratch)
-        np.abs(diff, out=diff)
-        return BinaryMask(diff > self._threshold)
+        mask = np.empty(self.estimate.shape, dtype=bool)
+        threshold = self._threshold
+        for top, _, diff in self._differences(frame):
+            np.abs(diff, out=diff)
+            np.greater(diff, threshold, out=mask[top:top + len(diff)])
+        return BinaryMask(mask)
 
 
 # Opening works on bit-packed rows. np.packbits puts column c at bit

@@ -128,21 +128,28 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabels
     bits = mask.bits
     h, w = bits.shape
 
-    ext = np.zeros((h, w + 2), dtype=bool)
-    ext[:, 1:-1] = bits
-    # each row's value changes alternate: run start, exclusive run end, ...
-    srow, col = np.divmod(np.flatnonzero(ext[:, 1:] != ext[:, :-1]), w + 1)
-    srow, scol, ecol = srow[0::2], col[0::2], col[1::2]
+    # two background columns after each row: the value changes between
+    # neighbouring columns then have w+2 slots per row, so the flat index of
+    # each change is already its key row*(w+2) + column. Each row's changes
+    # alternate: run start, exclusive run end, ...
+    stride = w + 2
+    ext = np.zeros((h, w + 3), dtype=bool)
+    ext[:, 1:w + 1] = bits
+    keys = np.flatnonzero(ext[:, 1:] != ext[:, :-1])
+    skey, ekey = keys[0::2], keys[1::2]
+    srow = skey // stride
+    row_start = srow * stride
+    scol = skey - row_start
+    ecol = ekey - row_start
     n_runs = len(srow)
 
     # run i in the row above touches run j when scol[i] < ecol[j] + touch and
     # scol[j] < ecol[i] + touch; a row's runs are sorted and disjoint, so the
-    # runs j touches are contiguous. Keys are row*(w+2) + column: a query
-    # column lies in [-1, w+1], so every query stays inside the row above.
+    # runs j touches are contiguous. A query column lies in [-1, w+1], so
+    # every query key stays inside the row above.
     touch = 1 if connectivity == 8 else 0
-    base = (srow - 1) * (w + 2)
-    first = np.searchsorted(srow * (w + 2) + ecol, base + scol - touch, side="right")
-    stop = np.searchsorted(srow * (w + 2) + scol, base + ecol + touch, side="left")
+    first = np.searchsorted(ekey, skey - stride - touch, side="right")
+    stop = np.searchsorted(skey, ekey - stride + touch, side="left")
     n_above = np.maximum(stop - first, 0)
     below = np.repeat(np.arange(n_runs), n_above)
     offset = np.cumsum(n_above) - n_above

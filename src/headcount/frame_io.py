@@ -87,6 +87,13 @@ def _read_header_token(path, data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
+def _quote(token: bytes) -> str:
+    # a header token can be as long as the file: quote a bounded prefix
+    if len(token) <= 20:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} bytes)"
+
+
 def load_frame(path, index: int = 0) -> Frame:
     """Read one binary PGM (P5, maxval 255) file.
 
@@ -98,7 +105,7 @@ def load_frame(path, index: int = 0) -> Frame:
     if magic == b"P2":
         raise ParseError(f"{path}: ASCII PGM (P2) is not supported, use binary P5")
     if magic != b"P5":
-        raise ParseError(f"{path}: not a binary PGM file (magic {magic!r})")
+        raise ParseError(f"{path}: not a binary PGM file (magic {_quote(magic)})")
     fields = []
     for name in ("width", "height", "maxval"):
         token, pos = _read_header_token(path, data, pos)
@@ -108,22 +115,23 @@ def load_frame(path, index: int = 0) -> Frame:
                 raise ValueError
             value = int(token)  # raises past the interpreter's digit limit
         except ValueError:
-            raise ParseError(f"{path}: non-numeric {name} field {token!r}") from None
+            raise ParseError(f"{path}: non-numeric {name} field {_quote(token)}") from None
         if value <= 0:
             raise ParseError(f"{path}: {name} must be positive, got {value}")
         fields.append(value)
     width, height, maxval = fields
     if maxval != 255:
-        raise UnsupportedFormat(f"{path}: maxval {maxval} unsupported (need 255)")
+        raise UnsupportedFormat(f"{path}: maxval {_quote(token)} unsupported (need 255)")
     if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
         raise ParseError(f"{path}: missing whitespace after maxval")
     pos += 1
-    raster = data[pos:pos + width * height]
-    if len(raster) < width * height:
+    size = width * height
+    if len(data) - pos < size:
         raise ParseError(f"{path}: truncated pixel data "
-                         f"({len(raster)} of {width * height} bytes)")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return Frame(width=width, height=height, index=index, pixels=pixels.copy())
+                         f"({len(data) - pos} of {size} bytes)")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)
+    return Frame(width=width, height=height, index=index,
+                 pixels=pixels.reshape(height, width).copy())
 
 
 def write_frame(frame: Frame, path) -> None:
@@ -178,9 +186,12 @@ def open_sequence(spec: SequenceSpec) -> Iterator[Frame]:
         raise EmptySequence(f"{src} holds no complete frames")
     with open(src, "rb") as fh:
         for i in range(count):
-            raster = fh.read(frame_size)
-            pixels = np.frombuffer(raster, dtype=np.uint8).reshape(spec.height, spec.width)
-            yield Frame(width=spec.width, height=spec.height, index=i, pixels=pixels.copy())
+            pixels = np.empty((spec.height, spec.width), dtype=np.uint8)
+            got = fh.readinto(pixels)
+            if got != frame_size:
+                raise TruncatedStream(f"{src}: frame {i} ends after {got} of "
+                                      f"{frame_size} bytes")
+            yield Frame(width=spec.width, height=spec.height, index=i, pixels=pixels)
 
 
 def circle_points(radius: int) -> list[tuple[int, int]]:

@@ -95,11 +95,12 @@ def subtract_bruteforce(frame: np.ndarray, estimate: np.ndarray,
 
 def background_step_reference(estimate: np.ndarray, pixels: np.ndarray,
                               alpha: float) -> np.ndarray:
-    """One float32 running-average step, estimate + alpha*(frame - estimate),
-    written as the plain formula over fresh arrays with a float32 alpha: the
-    same IEEE operations in the same order as an in-place update, so the
-    results must agree bit for bit."""
-    return estimate + np.float32(alpha) * (pixels.astype(np.float32) - estimate)
+    """One running-average step, estimate + alpha*(frame - estimate), written
+    as the plain formula over whole fresh arrays, with alpha and the frame in
+    the estimate's dtype: the same IEEE operations in the same order as an
+    in-place update, so the results must agree bit for bit."""
+    dtype = estimate.dtype.type
+    return estimate + dtype(alpha) * (pixels.astype(dtype) - estimate)
 
 
 def scan_zone_events(zones: str) -> list:

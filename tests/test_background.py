@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from headcount import BackgroundModel, BinaryMask, morph_open
+from headcount.background import BLOCK_PIXELS
 from headcount.errors import ConfigError, ShapeError
 
 from conftest import make_frame, uniform_frame
@@ -59,9 +60,9 @@ def test_update_matches_scalar_recurrence():
 
 def test_update_geometry_mismatch():
     model = BackgroundModel(uniform_frame(8, 8, 0))
-    with pytest.raises(ShapeError):
-        model.update(uniform_frame(9, 8, 0))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="^frame 3 is 9x8, model is 8x8$"):
+        model.update(uniform_frame(9, 8, 0, index=3))
+    with pytest.raises(ShapeError, match="^frame 0 is 8x9, model is 8x8$"):
         model.subtract(uniform_frame(8, 9, 0))
 
 
@@ -145,6 +146,45 @@ def test_estimate_and_masks_equal_reference_bit_for_bit(rng):
         assert np.array_equal(mask.bits, expected)
         flagged += int(expected.sum())
     assert 0 < flagged < 100 * 36 * 48
+
+
+def assert_steps_equal_reference(frames, alpha, threshold, dtype):
+    model = BackgroundModel(frames[0], alpha=alpha, threshold=threshold)
+    assert model.estimate.dtype == dtype
+    estimate = frames[0].pixels.astype(dtype)
+    for frame in frames[1:]:
+        model.update(frame)
+        estimate = background_step_reference(estimate, frame.pixels, alpha)
+        assert np.array_equal(model.estimate, estimate)
+        # 38 is exact in both dtypes, and so is a float32 difference of a
+        # uint8 and an estimate near 100: comparing in float64 agrees
+        expected = np.abs(frame.pixels.astype(np.float64) - estimate) > threshold
+        assert np.array_equal(model.subtract(frame).bits, expected)
+    return model
+
+
+BLOCK_640 = BLOCK_PIXELS // 640
+
+
+@pytest.mark.parametrize("height", [1, BLOCK_640 - 1, BLOCK_640, BLOCK_640 + 1,
+                                    2 * BLOCK_640 + 3])
+@pytest.mark.parametrize("alpha, dtype", [(0.02, np.float32),
+                                          (1e-7, np.float64)])  # stall guard
+def test_row_blocks_equal_whole_frame_reference(rng, height, alpha, dtype):
+    frames = list(noise_frames(rng, 6, shape=(height, 640)))
+    model = assert_steps_equal_reference(frames, alpha, 38.0, dtype)
+    # one block of rows, max(1, BLOCK_PIXELS // width) of them, at most the
+    # frame's height
+    assert model._scratch.shape == (min(height, BLOCK_640), 640)
+    assert model._scratch.dtype == dtype
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_rows_wider_than_a_block_go_one_at_a_time(rng, height):
+    width = BLOCK_PIXELS + 5
+    frames = list(noise_frames(rng, 4, shape=(height, width)))
+    model = assert_steps_equal_reference(frames, 0.02, 38.0, np.float32)
+    assert model._scratch.shape == (1, width)
 
 
 def test_float32_estimate_stays_near_float64_recurrence(rng):
@@ -235,19 +275,21 @@ def test_subtract_masks_share_no_memory_and_frames_stay_untouched(rng):
 
 
 def test_update_and_subtract_allocate_no_float_frame(rng):
-    # a float64 frame is 8 bytes per pixel; beside its one-byte-per-pixel
-    # mask a step may hold only numpy's fixed-size casting buffer (64 kB)
+    # both steps work in the model's one-block scratch buffer: update may
+    # allocate no more than numpy's fixed-size casting buffer (64 kB), and
+    # subtract that beside its one-byte-per-pixel mask
     first, frame = noise_frames(rng, 2, shape=(480, 640))
     model = BackgroundModel(first)
-    quarter_frame = 2 * 480 * 640
+    buffer = 64 * 1024
     tracemalloc.start()
     try:
-        for step in (model.update, model.subtract):
+        for step, allowed in ((model.update, buffer),
+                              (model.subtract, 480 * 640 + buffer)):
             tracemalloc.reset_peak()
             base, _ = tracemalloc.get_traced_memory()
             step(frame)
             _, peak = tracemalloc.get_traced_memory()
-            assert peak - base < quarter_frame, step.__name__
+            assert peak - base < allowed, step.__name__
     finally:
         tracemalloc.stop()
 

@@ -136,6 +136,21 @@ def test_label_matches_flood_fill_on_stress_shapes(shape, conn):
     assert np.array_equal(label_image(got), expected)
 
 
+@pytest.mark.parametrize("conn", [4, 8])
+@pytest.mark.parametrize("width", [1, 2, 3, 9])
+def test_label_matches_flood_fill_on_runs_ending_in_the_last_column(rng, width, conn):
+    # a run ending in column w-1 has the largest end key of its row, right
+    # below the next row's first key; on masks one or two columns wide
+    # every run touches an edge, and a full mask is one run per row
+    for density in (0.2, 0.5, 0.8, 1.0):
+        bits = rng.random((40, width)) < density
+        bits[::3, -1] = True
+        got = label_components(mask_of(bits), conn)
+        expected = flood_fill_labels(bits, conn)
+        assert got.count == int(expected.max())
+        assert np.array_equal(label_image(got), expected)
+
+
 def test_label_stress_shapes_have_the_intended_components():
     assert flood_fill_labels(spiral_mask(480, 640), 4).max() == 1
     assert flood_fill_labels(comb_mask(40, 81), 4).max() == 1

@@ -242,6 +242,16 @@ def test_count_edge_line_is_config_error(tmp_path, capsys, lines):
     assert "line" in err
 
 
+def test_count_frame_of_another_size_names_the_frame(tmp_path, capsys):
+    out_dir = synth(tmp_path)
+    capsys.readouterr()
+    (out_dir / "000001.pgm").write_bytes(b"P5\n32 32\n255\n" + bytes(32 * 32))
+    code, out, err = run_count(capsys, "--input", str(out_dir), *COUNT_FLAGS)
+    assert code == 2
+    assert out == ""
+    assert "frame 1 is 32x32, model is 160x120" in err
+
+
 def test_count_requires_lines(tmp_path, capsys):
     out_dir = synth(tmp_path)
     capsys.readouterr()

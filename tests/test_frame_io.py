@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+from headcount import frame_io
 from headcount import (Frame, LinePair, SequenceSpec, circle_points, load_frame,
                        open_sequence, write_annotated, write_frame)
 from headcount.errors import (ConfigError, EmptySequence, ParseError,
@@ -62,8 +65,39 @@ def test_wrong_maxval_rejected(tmp_path):
 def test_truncated_raster_rejected(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(pgm_bytes(4, 4, [0] * 10))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"truncated pixel data \(10 of 16 bytes\)"):
         load_frame(path)
+
+
+def test_long_header_token_is_quoted_in_part(tmp_path):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(b"P5\n" + b"9" * 5000 + b" 4\n255\n" + bytes(16))
+    with pytest.raises(ParseError) as info:
+        load_frame(path)
+    message = str(info.value)
+    assert "non-numeric width field b'99999999999999999999'... (5000 bytes)" in message
+    assert len(message) < len(str(path)) + 100
+    path.write_bytes(b"X" * 5000)
+    with pytest.raises(ParseError, match=r"\(magic b'X{20}'\.\.\. \(5000 bytes\)\)$"):
+        load_frame(path)
+    # 4000 digits is under the interpreter's digit limit, so it parses
+    path.write_bytes(b"P5\n4 4\n" + b"9" * 4000 + b"\n" + bytes(16))
+    with pytest.raises(UnsupportedFormat, match=r"maxval b'9{20}'\.\.\. \(4000 bytes\) "):
+        load_frame(path)
+
+
+def test_loaded_pixels_own_their_memory(tmp_path, rng):
+    # one copy out of the file's bytes for a PGM, none for a raw file: each
+    # frame's pixels are a writable array of their own
+    pixels = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
+    write_frame(make_frame(pixels), tmp_path / "a.pgm")
+    (tmp_path / "b.raw").write_bytes(pixels.tobytes() * 2)
+    frames = [load_frame(tmp_path / "a.pgm"),
+              *open_sequence(SequenceSpec(source=tmp_path / "b.raw", width=7, height=5))]
+    for frame in frames:
+        assert np.array_equal(frame.pixels, pixels)
+        assert frame.pixels.base is None and frame.pixels.flags.writeable
+    assert not np.shares_memory(frames[1].pixels, frames[2].pixels)
 
 
 def test_write_then_load_roundtrip(tmp_path, rng):
@@ -124,6 +158,19 @@ def test_open_sequence_raw_misaligned(tmp_path):
     path.write_bytes(bytes(100))
     with pytest.raises(TruncatedStream):
         list(open_sequence(SequenceSpec(source=path, width=64, height=48)))
+
+
+def test_open_sequence_raw_shrinking_file(tmp_path, monkeypatch):
+    # the size is checked before reading; a file cut short meanwhile ends
+    # the stream at the short read instead of yielding unread pixels
+    path = tmp_path / "frames.raw"
+    path.write_bytes(bytes(3 * 64 * 48))
+    monkeypatch.setattr(frame_io, "open", lambda *args: io.BytesIO(bytes(64 * 48 + 10)),
+                        raising=False)
+    frames = open_sequence(SequenceSpec(source=path, width=64, height=48))
+    assert next(frames).index == 0
+    with pytest.raises(TruncatedStream, match="frame 1 ends after 10 of 3072 bytes"):
+        next(frames)
 
 
 def test_open_sequence_raw_needs_geometry(tmp_path):
