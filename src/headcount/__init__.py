@@ -14,7 +14,7 @@ from .counting import (Counters, CrossEvent, Direction, LinePair, LineZoneState,
                        Zone, advance, apply_event, classify_zone)
 from .frame_io import (Frame, SequenceSpec, circle_points, load_frame,
                        open_sequence, write_annotated, write_frame)
-from .metrics import CountReport, GroundTruth, accuracy_pct, build_report
+from .metrics import CountReport, GroundTruth, accuracy_pct
 from .pipeline import CountingPipeline, PipelineConfig, run
 from .synthetic import ActorSpec, SceneSpec, ground_truth_events, render_frame, render_scene
 from .tracking import Assignment, Track, Tracker, TrackerConfig, associate
@@ -28,7 +28,7 @@ __all__ = [
     "CountReport", "Counters", "CountingPipeline", "CrossEvent", "Direction",
     "Frame", "GroundTruth", "LinePair", "LineZoneState", "PipelineConfig",
     "SceneSpec", "SequenceSpec", "Track", "Tracker", "TrackerConfig", "Zone",
-    "accuracy_pct", "advance", "apply_event", "associate", "build_report",
+    "accuracy_pct", "advance", "apply_event", "associate",
     "circle_points", "circularity", "classify_zone", "convexity",
     "detect_blobs", "errors", "ground_truth_events", "inertia_ratio",
     "label_components", "load_frame", "measure", "morph_open", "open_sequence",

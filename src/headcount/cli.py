@@ -16,9 +16,9 @@ from pathlib import Path
 from .blobs import BlobFilterParams
 from .counting import LinePair
 from .errors import (ConfigError, EmptySequence, HeadcountError, ParseError,
-                     TruncatedStream, UnsupportedFormat)
+                     TruncatedStream, UnsupportedFormat, json_integer)
 from .frame_io import SequenceSpec, open_sequence, write_annotated
-from .metrics import GroundTruth, accuracy_pct
+from .metrics import CountReport, GroundTruth
 from .pipeline import PARAMS, CountingPipeline, PipelineConfig
 from .synthetic import SceneSpec, ground_truth_events, render_scene
 from .tracking import TrackerConfig
@@ -55,7 +55,8 @@ def _parse_geometry(text: str) -> tuple[int, int]:
     return w, h
 
 
-def _load_json(path) -> dict:
+def _load_json(path, from_dict=dict):
+    """``from_dict`` of the JSON object at ``path``; its ConfigErrors name the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -63,7 +64,10 @@ def _load_json(path) -> dict:
         raise ConfigError(f"{path}: not a UTF-8 JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    return doc
+    try:
+        return from_dict(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number"}
@@ -76,26 +80,13 @@ def _typed(key: str, value, kind: type, nullable: bool = False):
     ``nullable``. Integers must fit in 64 bits."""
     if value is None and nullable:
         return None
-    if type(value) is int and not -2**63 <= value < 2**63:
-        raise ConfigError(f"{key} is outside the 64-bit integer range, got {value}")
-    if kind is float and type(value) is int:
-        value = float(value)
+    if type(value) is int:
+        value = json_integer(key, value)
+        if kind is float:
+            value = float(value)
     if type(value) is not kind:
         raise ConfigError(f"{key} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
     return value
-
-
-def _load_counts(path, keys) -> list[int]:
-    """The JSON integers under ``keys`` in the JSON object at ``path``."""
-    doc = _load_json(path)
-    missing = [key for key in keys if key not in doc]
-    if missing:
-        raise ConfigError(f"{path}: missing keys {missing}")
-    return [_typed(f"{path}: {key}", doc[key], int) for key in keys]
-
-
-def _load_truth(path) -> GroundTruth:
-    return GroundTruth(*_load_counts(path, ("true_in", "true_out", "true_total")))
 
 
 def _build_config(args) -> PipelineConfig:
@@ -122,7 +113,7 @@ def _build_config(args) -> PipelineConfig:
 
 def cmd_count(args) -> int:
     config = _build_config(args)
-    truth = _load_truth(args.truth) if args.truth else None
+    truth = _load_json(args.truth, GroundTruth.from_dict) if args.truth else None
 
     spec = SequenceSpec(source=Path(args.input))
     if args.raw:
@@ -144,8 +135,7 @@ def cmd_count(args) -> int:
     if pipeline.frames_processed == 0:
         raise EmptySequence("empty sequence")
 
-    report = pipeline.report(truth)
-    print(report.to_json())
+    print(pipeline.report(truth).to_json())
     return 0
 
 
@@ -163,34 +153,28 @@ def cmd_synth(args) -> int:
     lines = _parse_lines(lines)
     lines.check_fits(scene.height)
 
+    frames = render_scene(scene)
+    frame = next(frames)  # rendered first, so a scene too big to render writes nothing
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for frame in render_scene(scene):
+    while frame is not None:
         frame_io.write_frame(frame, out_dir / f"{frame.index:06d}.pgm")
+        frame = next(frames, None)
 
-    truth, _ = ground_truth_events(scene, lines)
-    truth_doc = {"true_in": truth.true_in, "true_out": truth.true_out,
-                 "true_total": truth.true_total}
-    (out_dir / "truth.json").write_text(json.dumps(truth_doc, sort_keys=True) + "\n",
+    truth = ground_truth_events(scene, lines)[0].to_dict()
+    (out_dir / "truth.json").write_text(json.dumps(truth, sort_keys=True) + "\n",
                                         encoding="utf-8")
-    print(json.dumps({"frames": scene.frames, "out": str(out_dir), **truth_doc},
+    print(json.dumps({"frames": scene.frames, "out": str(out_dir), **truth},
                      sort_keys=True))
     return 0
 
 
 def cmd_eval(args) -> int:
-    n_in, n_out, n_total = _load_counts(args.report, ("in", "out", "total"))
-    if min(n_in, n_out) < 0 or n_total != n_in + n_out:
-        raise ConfigError(f"{args.report}: report counts must be >= 0 with "
-                          f"total == in + out, got in {n_in}, out {n_out}, "
-                          f"total {n_total}")
-    truth = _load_truth(args.truth)
-    result = {
-        "in_accuracy": round(accuracy_pct(n_in, truth.true_in), 2),
-        "out_accuracy": round(accuracy_pct(n_out, truth.true_out), 2),
-        "tc_accuracy": round(accuracy_pct(n_total, truth.true_total), 2),
-    }
-    print(json.dumps(result, sort_keys=True))
+    report = _load_json(args.report, CountReport.from_dict)
+    truth = _load_json(args.truth, GroundTruth.from_dict)
+    accuracies = CountReport(report.counters, ground_truth=truth).accuracies()
+    print(json.dumps({key: round(value, 2) for key, value in accuracies.items()},
+                     sort_keys=True))
     return 0
 
 
@@ -239,12 +223,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _IO_ERRORS as exc:
+    except (OSError, HeadcountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except HeadcountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _IO_ERRORS) else 2
 
 
 def entrypoint() -> None:

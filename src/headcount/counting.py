@@ -77,11 +77,14 @@ class CrossEvent:
 
 @dataclass
 class Counters:
-    """Monotone IN/OUT/total counters; total always equals in + out."""
+    """Monotone IN/OUT counters; the total is derived from them."""
 
     in_count: int = 0
     out_count: int = 0
-    total_count: int = 0
+
+    @property
+    def total_count(self) -> int:
+        return self.in_count + self.out_count
 
 
 def classify_zone(centroid: tuple[float, float], lines: LinePair) -> Zone:
@@ -123,6 +126,4 @@ def apply_event(counters: Counters, event: CrossEvent) -> Counters:
         counters.in_count += 1
     else:
         counters.out_count += 1
-    counters.total_count += 1
-    assert counters.total_count == counters.in_count + counters.out_count
     return counters

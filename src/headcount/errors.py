@@ -1,4 +1,4 @@
-"""Exception types raised across the counting pipeline."""
+"""Exception types raised across the counting pipeline, and the JSON integer rule."""
 
 
 class HeadcountError(Exception):
@@ -43,3 +43,11 @@ class OrderError(HeadcountError):
 
 class UndefinedAccuracy(HeadcountError):
     """Accuracy ratio undefined: true count 0 but counted > 0, or beyond a float."""
+
+
+def json_integer(name: str, value) -> int:
+    """``value`` if it is a JSON integer: an ``int``, never a ``bool``, that
+    fits in 64 bits. ConfigError naming ``name`` otherwise."""
+    if type(value) is int and -2**63 <= value < 2**63:
+        return value
+    raise ConfigError(f"{name} must be a 64-bit integer, got {value!r}")

@@ -127,8 +127,9 @@ def load_frame(path, index: int = 0) -> Frame:
     pos += 1
     size = width * height
     if len(data) - pos < size:
-        raise ParseError(f"{path}: truncated pixel data "
-                         f"({len(data) - pos} of {size} bytes)")
+        # width * height can run to thousands of digits, past what str() takes
+        need = size if size <= 10**20 else "over 10**20"
+        raise ParseError(f"{path}: truncated pixel data ({len(data) - pos} of {need} bytes)")
     pixels = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)
     return Frame(width=width, height=height, index=index,
                  pixels=pixels.reshape(height, width).copy())

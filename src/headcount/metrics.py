@@ -1,14 +1,33 @@
-"""Accuracy percentages and the end-of-run count report."""
+"""Accuracy percentages and the end-of-run count report, and the one reader
+and writer of truth and report documents."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
 from .counting import Counters, CrossEvent, Direction
-from .errors import ConfigError, UndefinedAccuracy
+from .errors import ConfigError, UndefinedAccuracy, json_integer
+
+# report key of each accuracy -> (its Counters field, its GroundTruth field)
+_ACCURACIES = {"in_accuracy": ("in_count", "true_in"),
+               "out_accuracy": ("out_count", "true_out"),
+               "tc_accuracy": ("total_count", "true_total")}
+
+
+def _counts(doc: dict[str, Any], keys: tuple[str, str, str]) -> list[int]:
+    """The in, out and total counts under ``keys`` in ``doc``; ConfigError
+    unless each is a JSON integer, in and out are >= 0 and total == in + out."""
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ConfigError(f"missing keys {missing}")
+    n_in, n_out, total = (json_integer(key, doc[key]) for key in keys)
+    if min(n_in, n_out) < 0 or total != n_in + n_out:
+        raise ConfigError(f"counts must be >= 0 with {keys[2]} == {keys[0]} + "
+                          f"{keys[1]}, got {dict(zip(keys, (n_in, n_out, total)))}")
+    return [n_in, n_out, total]
 
 
 @dataclass(frozen=True)
@@ -19,14 +38,18 @@ class GroundTruth:
     true_out: int
     true_total: int
 
+    KEYS = ("true_in", "true_out", "true_total")
+
     def __post_init__(self):
-        if self.true_total != self.true_in + self.true_out:
-            raise ConfigError(
-                f"true_total {self.true_total} != true_in {self.true_in} "
-                f"+ true_out {self.true_out}"
-            )
-        if min(self.true_in, self.true_out) < 0:
-            raise ConfigError("ground-truth counts must be >= 0")
+        _counts(self.to_dict(), self.KEYS)
+
+    def to_dict(self) -> dict[str, int]:
+        return {key: getattr(self, key) for key in self.KEYS}
+
+    @classmethod
+    def from_dict(cls, doc: dict[str, Any]) -> "GroundTruth":
+        """The truth in ``doc``, which may hold other keys, as a report does."""
+        return cls(*_counts(doc, cls.KEYS))
 
 
 def accuracy_pct(count: int, true_count: int) -> float:
@@ -56,35 +79,37 @@ def accuracy_pct(count: int, true_count: int) -> float:
 class CountReport:
     """Everything a counting run produced, serializable to a flat JSON object.
 
-    Accuracy fields are present only when ground truth was supplied.
+    The accuracies are derived from the counters and the ground truth, and
+    are None without ground truth.
     """
 
     counters: Counters
     events: list[CrossEvent] = field(default_factory=list)
     ground_truth: Optional[GroundTruth] = None
-    in_accuracy: Optional[float] = None
-    out_accuracy: Optional[float] = None
-    tc_accuracy: Optional[float] = None
     params: dict[str, Any] = field(default_factory=dict)
+
+    def accuracies(self) -> dict[str, float]:
+        """Each accuracy under its report key; empty without ground truth."""
+        if self.ground_truth is None:
+            return {}
+        return {key: accuracy_pct(getattr(self.counters, count),
+                                  getattr(self.ground_truth, true_count))
+                for key, (count, true_count) in _ACCURACIES.items()}
+
+    in_accuracy = property(lambda self: self.accuracies().get("in_accuracy"))
+    out_accuracy = property(lambda self: self.accuracies().get("out_accuracy"))
+    tc_accuracy = property(lambda self: self.accuracies().get("tc_accuracy"))
 
     def to_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
             "in": self.counters.in_count,
             "out": self.counters.out_count,
             "total": self.counters.total_count,
-            "events": [
-                {"frame": e.frame, "track_id": e.track_id, "direction": e.direction.value}
-                for e in self.events
-            ],
+            "events": [asdict(e) for e in self.events],
             "params": self.params,
         }
         if self.ground_truth is not None:
-            doc["true_in"] = self.ground_truth.true_in
-            doc["true_out"] = self.ground_truth.true_out
-            doc["true_total"] = self.ground_truth.true_total
-            doc["in_accuracy"] = self.in_accuracy
-            doc["out_accuracy"] = self.out_accuracy
-            doc["tc_accuracy"] = self.tc_accuracy
+            doc.update(self.ground_truth.to_dict(), **self.accuracies())
         return doc
 
     def to_json(self) -> str:
@@ -92,33 +117,29 @@ class CountReport:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "CountReport":
-        counters = Counters(in_count=doc["in"], out_count=doc["out"],
-                            total_count=doc["total"])
-        events = [CrossEvent(frame=e["frame"], track_id=e["track_id"],
-                             direction=Direction(e["direction"]))
-                  for e in doc["events"]]
-        truth = None
-        if "true_in" in doc:
-            truth = GroundTruth(doc["true_in"], doc["true_out"], doc["true_total"])
-        return cls(counters=counters, events=events, ground_truth=truth,
-                   in_accuracy=doc.get("in_accuracy"),
-                   out_accuracy=doc.get("out_accuracy"),
-                   tc_accuracy=doc.get("tc_accuracy"),
-                   params=doc.get("params", {}))
+        """The report ``to_dict`` wrote; ConfigError unless every count is a
+        consistent JSON integer and every stored accuracy the derived one.
+        ``events`` and ``params`` may be absent."""
+        n_in, n_out, _ = _counts(doc, ("in", "out", "total"))
+        events, params = doc.get("events", []), doc.get("params", {})
+        if not isinstance(events, list) or not isinstance(params, dict):
+            raise ConfigError("events must be a list and params an object")
+        has_truth = any(key in doc for key in (*GroundTruth.KEYS, *_ACCURACIES))
+        report = cls(Counters(n_in, n_out), [_event(e) for e in events],
+                     GroundTruth.from_dict(doc) if has_truth else None, params)
+        if {key: doc[key] for key in _ACCURACIES if key in doc} != report.accuracies():
+            raise ConfigError(f"stored accuracies differ from the derived "
+                              f"{report.accuracies()}")
+        return report
 
     @classmethod
     def from_json(cls, text: str) -> "CountReport":
         return cls.from_dict(json.loads(text))
 
 
-def build_report(counters: Counters, events: list[CrossEvent],
-                 ground_truth: Optional[GroundTruth] = None,
-                 params: Optional[dict[str, Any]] = None) -> CountReport:
-    """Assemble the run report, computing accuracies when truth is given."""
-    report = CountReport(counters=counters, events=list(events),
-                         ground_truth=ground_truth, params=dict(params or {}))
-    if ground_truth is not None:
-        report.in_accuracy = accuracy_pct(counters.in_count, ground_truth.true_in)
-        report.out_accuracy = accuracy_pct(counters.out_count, ground_truth.true_out)
-        report.tc_accuracy = accuracy_pct(counters.total_count, ground_truth.true_total)
-    return report
+def _event(doc) -> CrossEvent:
+    if not isinstance(doc, dict) or doc.get("direction") not in ("IN", "OUT"):
+        raise ConfigError("each event must be an object with direction IN or OUT")
+    return CrossEvent(json_integer("event frame", doc.get("frame")),
+                      json_integer("event track_id", doc.get("track_id")),
+                      Direction(doc["direction"]))

@@ -16,7 +16,7 @@ from .blobs import BlobFilterParams, BlobKeypoint, detect_blobs
 from .counting import Counters, CrossEvent, LinePair, advance, apply_event
 from .errors import ConfigError, EmptySequence, OrderError
 from .frame_io import Frame
-from .metrics import CountReport, GroundTruth, build_report
+from .metrics import CountReport, GroundTruth
 from .tracking import Tracker, TrackerConfig
 
 MIN_FRAME_SIDE = 8
@@ -148,8 +148,8 @@ class CountingPipeline:
         return new_events
 
     def report(self, ground_truth: Optional[GroundTruth] = None) -> CountReport:
-        return build_report(self.counters, self.events, ground_truth,
-                            self.config.to_params_dict())
+        return CountReport(self.counters, list(self.events), ground_truth,
+                           self.config.to_params_dict())
 
 
 def run(frames: Iterable[Frame], config: PipelineConfig,

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterator, Optional
 
 import numpy as np
 
 from .counting import LinePair
-from .errors import ConfigError
+from .errors import ConfigError, json_integer
 from .frame_io import Frame
 from .metrics import GroundTruth
 
@@ -86,25 +86,9 @@ class SceneSpec:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "frames": self.frames,
-            "background_intensity": self.background_intensity,
-            "noise_amplitude": self.noise_amplitude,
-            "seed": self.seed,
-            "actors": [
-                {
-                    "radius": a.radius,
-                    "start": list(a.start),
-                    "velocity": list(a.velocity),
-                    "spawn_frame": a.spawn_frame,
-                    "despawn_frame": a.despawn_frame,
-                    "intensity": a.intensity,
-                }
-                for a in self.actors
-            ],
-        }
+        """The spec as the document ``from_dict`` reads, with the actors' start
+        and velocity as tuples."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "SceneSpec":
@@ -140,19 +124,21 @@ def _finite_pair(name: str, value) -> tuple[float, float]:
 
 
 def _integers(owner: str, doc: dict[str, Any], names: tuple) -> dict[str, int]:
-    """The fields of ``doc`` among ``names``, each a JSON integer that fits in
-    64 bits (a null despawn_frame stays null)."""
+    """The fields of ``doc`` among ``names``, each a JSON integer (a null
+    despawn_frame stays null)."""
     fields = {name: doc[name] for name in names if name in doc}
     for name, value in fields.items():
-        if not (type(value) is int and -2**63 <= value < 2**63
-                or name == "despawn_frame" and value is None):
-            raise ConfigError(f"{owner} {name} must be a 64-bit integer, got {value!r}")
+        if not (name == "despawn_frame" and value is None):
+            json_integer(f"{owner} {name}", value)
     return fields
 
 
 def render_frame(spec: SceneSpec, index: int) -> Frame:
     """Render one frame: background, per-frame seeded noise, then live disks."""
-    img = np.full((spec.height, spec.width), spec.background_intensity, dtype=np.int16)
+    try:
+        img = np.full((spec.height, spec.width), spec.background_intensity, np.int16)
+    except (ValueError, MemoryError) as exc:  # numpy's "array is too big"
+        raise ConfigError(f"the scene cannot be rendered: {exc}") from None
     if spec.noise_amplitude > 0:
         rng = np.random.default_rng([spec.seed, index])
         img += rng.integers(-spec.noise_amplitude, spec.noise_amplitude + 1,

@@ -111,6 +111,19 @@ def test_synth_non_integer_actor_field_is_config_error(tmp_path, capsys, field, 
     assert not (tmp_path / "x").exists()
 
 
+def test_synth_scene_too_big_to_render_writes_nothing(tmp_path, capsys):
+    # 4 rows of 2**62 int16 pixels exceed numpy's largest array, so it
+    # refuses them without allocating; this used to end in a ValueError
+    # traceback after the output directory had been made
+    spec_path = write_scene(tmp_path, {"width": 2**62, "height": 4, "frames": 1})
+    code = main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "x"),
+                 "--lines", "1,2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: the scene cannot be rendered")
+    assert not (tmp_path / "x").exists()
+
+
 def test_synth_requires_lines(tmp_path, capsys):
     scene = {k: v for k, v in SCENE.items() if k != "lines"}
     spec_path = write_scene(tmp_path, scene)
@@ -554,6 +567,19 @@ def test_count_truth_counts_must_be_json_integers(tmp_path, capsys, truth_doc):
     assert code == 2
     assert out == ""
     assert "true_" in err
+
+
+def test_count_undefined_accuracy_prints_no_report(tmp_path, capsys):
+    # the scene holds one IN and one OUT; against a truth of none the
+    # accuracies are undefined, and the report is derived before printing
+    out_dir = synth(tmp_path)
+    capsys.readouterr()
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"true_in": 0, "true_out": 0, "true_total": 0}))
+    code, out, err = run_count(capsys, "--input", str(out_dir), "--truth", str(truth),
+                               *COUNT_FLAGS)
+    assert (code, out) == (2, "")
+    assert "true count of 0" in err
 
 
 @pytest.mark.parametrize("truth_doc", NON_INTEGER_TRUTHS)

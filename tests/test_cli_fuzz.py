@@ -1,12 +1,14 @@
-"""Seeded fuzz of the four JSON documents the CLI reads.
+"""Seeded fuzz of the four JSON documents the CLI reads, and of its flags.
 
 Every key of a ``count --config``, ``synth --spec``, truth and ``eval
 --report`` document is set in turn to each value of a fixed set of bad ones
 (wrong JSON types, NaN and infinities, wrong list lengths, negative and huge
 integers, deep nesting) or removed, whole files are corrupted (bytes that are
 not UTF-8, truncation), and then seeded random mixes of those mutations are
-run. Each run goes through ``cli.main`` in-process and must return 0, 1 or 2
-without an exception escaping, and print nothing on stdout when it fails.
+run. Every ``count`` flag that takes a value gets fixed and seeded random bad
+text. Each run goes through ``cli.main`` in-process and must return 0, 1 or 2
+(argparse's own exit 2 included) without an exception escaping, and print
+nothing on stdout when it fails.
 
 Scenes stay at 64x64 pixels and 4 frames: a huge width, height or frame count
 that fits in 64 bits is a valid request for a scene too big to render here,
@@ -287,6 +289,8 @@ PGM_CASES = {
     "negative": b"P5\n-64 64\n255\n" + RASTER,
     "twenty_digits": b"P5\n" + b"9" * 20 + b" 64\n255\n" + RASTER,
     "beyond_int_digit_limit": b"P5\n" + b"9" * 5000 + b" 64\n255\n" + RASTER,
+    "width_4000_digits": b"P5\n" + b"9" * 4000 + b" 64\n255\n" + RASTER,
+    "both_4000_digits": b"P5\n" + b"9" * 4000 + b" " + b"9" * 4000 + b"\n255\n" + RASTER,
     "underscore_width": b"P5\n6_4 64\n255\n" + RASTER,
     "underscore_maxval": b"P5\n64 64\n2_55\n" + RASTER,
     "plus_height": b"P5\n64 +64\n255\n" + RASTER,
@@ -313,9 +317,79 @@ def test_corrupted_pgm_header(cli, tmp_path, case):
     else:
         assert code == 1
         assert str(bad) in cli.err
-    if case == "beyond_int_digit_limit":
-        # the 5000-digit token is quoted in part, not in full; the file's
-        # path, as long as the host's temporary directory makes it, is not
-        # counted
+    if case in ("beyond_int_digit_limit", "width_4000_digits", "both_4000_digits"):
+        # the 5000-digit token is quoted in part, not in full, and the
+        # 4000-digit fields' product is not printed; the file's path, as long
+        # as the host's temporary directory makes it, is not counted
         lines = cli.err.replace(str(bad), "").splitlines()
         assert max(len(line.encode()) for line in lines) < 200
+
+
+# Flag values: text argparse or the CLI must reject, or take, cleanly
+BAD_FLAG_TEXT = [
+    "", " ", "abc", "-1", "0", "1", "1.5", "-0.5", "1e400", "-1e400", "nan", "inf",
+    "-inf", str(2**63), str(-2**63 - 1), "9" * 5000, "0x10", "1_000", "+3", " 3",
+    "true", "null", "[1, 2]", "\u00e9", "1,2", "20,40", "40,20", "0,10", "1,62",
+    "10,50", ",", "1,2,3", "1.5,30", "9" * 5000 + ",1", "64x64", "32x128",
+    "128x128", "16x16", "63x64", "8x8", "4096x4", "0x64", "-8x8", "64X128", "64x",
+    "x64", "64x64x1", "1e3x8", str(2**63) + "x1",
+]
+FLAG_ALPHABET = "0123456789-+.,xXeE_ nai"
+BOOL_FLAGS = [key for key, (_, _, kind, _) in PARAMS.items() if kind is bool]
+VALUED_FLAGS = ["lines", "raw", *(key for key in PARAMS if key not in BOOL_FLAGS)]
+
+
+def run_flags(cli, flags) -> int:
+    """``count`` on the fuzz scene, as a raw file when ``--raw`` is given,
+    with valid base flags and then ``flags``, which win."""
+    source = cli.frames
+    if any(flag.startswith("--raw") for flag in flags):
+        source = cli.tmp / "frames.raw"
+        source.write_bytes(b"".join(p.read_bytes()[-64 * 64:]
+                                    for p in sorted(cli.frames.glob("*.pgm"))))
+    argv = ["count", "--input", str(source), "--lines", "20,40", "--warmup", "1",
+            "--min-area", "20", *flags]
+    try:
+        return cli.run(argv)
+    except SystemExit as exc:  # argparse rejected a flag: usage on stderr
+        captured = cli.capsys.readouterr()
+        assert exc.code == 2, argv
+        assert captured.out == "" and "error:" in captured.err, argv
+        return 2
+
+
+def flag_value(rng) -> str:
+    """Seeded text: a fixed bad value, junk, a number, or a pair of numbers
+    as ``--lines`` or ``--raw`` take them."""
+    def number():
+        return str(rng.choice([rng.randint(-3, 70), rng.randint(-2**64, 2**64),
+                               round(rng.uniform(-2.0, 300.0), 3)]))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice(BAD_FLAG_TEXT)
+    if kind == 1:
+        return "".join(rng.choice(FLAG_ALPHABET) for _ in range(rng.randint(0, 8)))
+    return number() if kind == 2 else number() + rng.choice(",x") + number()
+
+
+@pytest.mark.parametrize("key", VALUED_FLAGS)
+def test_every_flag_takes_bad_text(cli, key):
+    rng = random.Random(f"flag-{key}")
+    flag = "--" + key.replace("_", "-")
+    for value in BAD_FLAG_TEXT + [flag_value(rng) for _ in range(20)]:
+        run_flags(cli, [f"{flag}={value}"])
+
+
+@pytest.mark.parametrize("key", BOOL_FLAGS)
+def test_boolean_flag_takes_no_value(cli, key):
+    flag = "--" + key.replace("_", "-")
+    assert run_flags(cli, [flag]) == 0
+    for value in ("", "1", "true", "abc"):
+        assert run_flags(cli, [f"{flag}={value}"]) == 2
+
+
+def test_random_mixes_of_flags(cli):
+    rng = random.Random(20261018)
+    for _ in range(150):
+        keys = rng.sample(VALUED_FLAGS, rng.randint(1, 3))
+        run_flags(cli, [f"--{key.replace('_', '-')}={flag_value(rng)}" for key in keys])

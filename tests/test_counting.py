@@ -118,7 +118,7 @@ def test_apply_event_in():
 
 
 def test_apply_event_reaches_table_row_one():
-    counters = Counters(in_count=8, out_count=7, total_count=15)
+    counters = Counters(in_count=8, out_count=7)
     apply_event(counters, CrossEvent(500, 3, Direction.OUT))
     assert (counters.in_count, counters.out_count, counters.total_count) == (8, 8, 16)
 

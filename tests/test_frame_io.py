@@ -86,6 +86,19 @@ def test_long_header_token_is_quoted_in_part(tmp_path):
         load_frame(path)
 
 
+@pytest.mark.parametrize("width,height,need", [
+    (b"9" * 4000, b"64", r"over 10\*\*20"),
+    (b"9" * 4000, b"9" * 4000, r"over 10\*\*20"),  # past the digits str() takes
+    (b"100000000001", b"1000000000", r"over 10\*\*20"),
+    (b"100000000000", b"1000000000", "100000000000000000000"),
+])
+def test_truncation_message_bounds_a_huge_frame_size(tmp_path, width, height, need):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(b"P5\n" + width + b" " + height + b"\n255\n" + bytes(4096))
+    with pytest.raises(ParseError, match=rf"truncated pixel data \(4096 of {need} bytes\)$"):
+        load_frame(path)
+
+
 def test_loaded_pixels_own_their_memory(tmp_path, rng):
     # one copy out of the file's bytes for a PGM, none for a raw file: each
     # frame's pixels are a writable array of their own

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from headcount import (CountReport, Counters, CrossEvent, Direction, GroundTruth,
-                       accuracy_pct, build_report)
+                       accuracy_pct)
+from headcount.cli import main
 from headcount.errors import ConfigError, UndefinedAccuracy
 
 
@@ -73,7 +74,7 @@ def test_ground_truth_sum_enforced():
 
 
 def test_report_without_truth_has_no_accuracy_keys():
-    report = build_report(Counters(), [], params={"alpha": 0.02})
+    report = CountReport(Counters(), [], params={"alpha": 0.02})
     doc = report.to_dict()
     assert doc["in"] == doc["out"] == doc["total"] == 0
     for key in ("true_in", "true_out", "true_total",
@@ -82,31 +83,32 @@ def test_report_without_truth_has_no_accuracy_keys():
 
 
 def test_report_accuracies_table_row_two():
-    counters = Counters(in_count=9, out_count=12, total_count=21)
-    report = build_report(counters, [], GroundTruth(9, 12, 21))
+    counters = Counters(in_count=9, out_count=12)
+    report = CountReport(counters, [], GroundTruth(9, 12, 21))
     assert report.in_accuracy == 100.0
     assert report.out_accuracy == 100.0
     assert report.tc_accuracy == 100.0
 
 
 def test_report_overcount_representable():
-    counters = Counters(in_count=25, out_count=28, total_count=53)
-    report = build_report(counters, [], GroundTruth(20, 28, 48))
+    counters = Counters(in_count=25, out_count=28)
+    report = CountReport(counters, [], GroundTruth(20, 28, 48))
     assert report.in_accuracy == 125.0
     assert report.out_accuracy == 100.0
     assert report.tc_accuracy == pytest.approx(53 / 48 * 100)
 
 
 def test_report_propagates_undefined_accuracy():
-    counters = Counters(in_count=3, out_count=0, total_count=3)
+    counters = Counters(in_count=3, out_count=0)
+    report = CountReport(counters, [], GroundTruth(0, 3, 3))
     with pytest.raises(UndefinedAccuracy):
-        build_report(counters, [], GroundTruth(0, 3, 3))
+        report.to_json()
 
 
 def test_report_json_schema_keys():
-    counters = Counters(in_count=1, out_count=2, total_count=3)
+    counters = Counters(in_count=1, out_count=2)
     events = [CrossEvent(40, 0, Direction.IN), CrossEvent(55, 1, Direction.OUT)]
-    report = build_report(counters, events, GroundTruth(1, 2, 3), {"warmup": 30})
+    report = CountReport(counters, events, GroundTruth(1, 2, 3), {"warmup": 30})
     doc = json.loads(report.to_json())
     assert set(doc) == {"in", "out", "total", "true_in", "true_out", "true_total",
                         "in_accuracy", "out_accuracy", "tc_accuracy",
@@ -116,13 +118,123 @@ def test_report_json_schema_keys():
 
 
 def test_report_round_trips_losslessly():
-    counters = Counters(in_count=45, out_count=3, total_count=48)
+    counters = Counters(in_count=45, out_count=3)
     events = [CrossEvent(12, 4, Direction.IN), CrossEvent(19, 5, Direction.OUT)]
-    report = build_report(counters, events, GroundTruth(48, 3, 51),
-                          {"alpha": 0.02, "lines": [100, 140]})
+    report = CountReport(counters, events, GroundTruth(48, 3, 51),
+                         {"alpha": 0.02, "lines": [100, 140]})
     reparsed = CountReport.from_json(report.to_json())
     assert reparsed.to_dict() == report.to_dict()
     assert reparsed.counters == report.counters
     assert reparsed.events == report.events
     assert reparsed.ground_truth == report.ground_truth
     assert reparsed.in_accuracy == report.in_accuracy
+
+
+def report_doc(**changes):
+    """A report document as ``count --truth`` writes it, with ``changes``."""
+    counters, truth = Counters(in_count=3, out_count=1), GroundTruth(3, 2, 5)
+    events = [CrossEvent(12, 0, Direction.IN), CrossEvent(19, 1, Direction.OUT)]
+    doc = CountReport(counters, events, truth, {"warmup": 30}).to_dict()
+    return {**doc, **changes}
+
+
+def without(doc, *keys):
+    return {key: value for key, value in doc.items() if key not in keys}
+
+
+BAD_REPORTS = {
+    # the stored total disagrees with in + out
+    "total_not_in_plus_out": {"in": 1, "out": 1, "total": 5, "events": []},
+    "not_json_integers": {"in": "3", "out": True, "total": 4, "events": []},
+    "float_count": {"in": 3.0, "out": 1, "total": 4},
+    "negative_count": {"in": -1, "out": 1, "total": 0},
+    "beyond_64_bits": {"in": 2**63, "out": 0, "total": 2**63},
+    "missing_total": {"in": 3, "out": 1},
+    "stale_accuracy": report_doc(in_accuracy=55.0),
+    "accuracy_without_truth": without(report_doc(), "true_in", "true_out", "true_total"),
+    "truth_without_accuracies": without(report_doc(), "in_accuracy", "out_accuracy",
+                                        "tc_accuracy"),
+    "partial_truth": without(report_doc(), "true_out"),
+    "truth_not_in_plus_out": report_doc(true_total=6),
+    "unknown_direction": report_doc(events=[{"frame": 3, "track_id": 0,
+                                             "direction": "UP"}]),
+    "event_not_an_object": report_doc(events=[["IN", 3, 0]]),
+    "event_frame_not_an_integer": report_doc(events=[{"frame": 3.5, "track_id": 0,
+                                                      "direction": "IN"}]),
+    "events_not_a_list": report_doc(events={"frame": 3}),
+    "params_not_an_object": report_doc(params=[1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_REPORTS))
+def test_report_from_dict_rejects_inconsistent_documents(name):
+    with pytest.raises(ConfigError):
+        CountReport.from_dict(BAD_REPORTS[name])
+
+
+@pytest.mark.parametrize("truth", [GroundTruth(48, 3, 51), None], ids=["truth", "no_truth"])
+def test_report_from_dict_inverts_to_dict(truth):
+    events = [CrossEvent(12, 4, Direction.IN), CrossEvent(19, 5, Direction.OUT)]
+    report = CountReport(Counters(in_count=45, out_count=3), events, truth,
+                         {"alpha": 0.02, "lines": [100, 140]})
+    doc = json.loads(report.to_json())
+    assert CountReport.from_dict(doc) == report
+    assert CountReport.from_dict(doc).to_dict() == doc
+
+
+def test_report_events_and_params_may_be_absent():
+    report = CountReport.from_dict({"in": 3, "out": 1, "total": 4})
+    assert report == CountReport(Counters(in_count=3, out_count=1))
+
+
+def test_ground_truth_document_round_trip():
+    truth = GroundTruth(8, 7, 15)
+    assert truth.to_dict() == {"true_in": 8, "true_out": 7, "true_total": 15}
+    assert GroundTruth.from_dict(truth.to_dict()) == truth
+    # a report holding its truth reads as that truth
+    assert GroundTruth.from_dict(report_doc()) == GroundTruth(3, 2, 5)
+
+
+@pytest.mark.parametrize("doc", [
+    {"true_in": 1, "true_out": 1, "true_total": 5},
+    {"true_in": 1, "true_out": 1},
+    {"true_in": 1, "true_out": False, "true_total": 1},
+    {"true_in": -1, "true_out": 2, "true_total": 1},
+])
+def test_ground_truth_from_dict_rejects_bad_counts(doc):
+    with pytest.raises(ConfigError, match="true_"):
+        GroundTruth.from_dict(doc)
+
+
+def test_counters_derive_their_total():
+    counters = Counters(in_count=2, out_count=5)
+    assert counters.total_count == 7
+    with pytest.raises(AttributeError):
+        counters.total_count = 9
+
+
+def test_eval_reads_a_report_written_by_count(tmp_path, capsys):
+    # count writes accuracies against one truth (33.33...%, not exactly
+    # representable), eval reads the report back and scores it against
+    # another; stdout is pinned byte for byte
+    scene = {"width": 96, "height": 96, "frames": 40, "background_intensity": 50,
+             "noise_amplitude": 3, "seed": 5, "lines": [30, 60], "actors": [
+                 {"radius": 7, "start": [30.0, 8.0], "velocity": [0.0, 5.0],
+                  "spawn_frame": 10, "despawn_frame": 28, "intensity": 220},
+                 {"radius": 7, "start": [70.0, 88.0], "velocity": [0.0, -5.0],
+                  "spawn_frame": 12, "despawn_frame": 30, "intensity": 220}]}
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    (tmp_path / "t1.json").write_text(json.dumps({"true_in": 3, "true_out": 1,
+                                                  "true_total": 4}))
+    (tmp_path / "t2.json").write_text(json.dumps({"true_in": 3, "true_out": 7,
+                                                  "true_total": 10}))
+    frames, report = str(tmp_path / "frames"), tmp_path / "report.json"
+    assert main(["synth", "--spec", str(tmp_path / "scene.json"), "--out", frames]) == 0
+    capsys.readouterr()
+    assert main(["count", "--input", frames, "--lines", "30,60", "--warmup", "5",
+                 "--truth", str(tmp_path / "t1.json")]) == 0
+    report.write_text(capsys.readouterr().out)
+    assert json.loads(report.read_text())["in_accuracy"] == 1 / 3 * 100
+    assert main(["eval", "--report", str(report), "--truth", str(tmp_path / "t2.json")]) == 0
+    assert capsys.readouterr().out == ('{"in_accuracy": 33.33, "out_accuracy": 14.29, '
+                                       '"tc_accuracy": 20.0}\n')
