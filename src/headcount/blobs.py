@@ -6,13 +6,13 @@ with the runs it touches in the row above, and rounds of root hooking and
 pointer jumping merge those pairs into connected components, with no Python
 loop over runs. The run table (row, start column, exclusive end column and
 component of every run) is the labeling: no per-pixel label image is ever
-built. Each component is measured from its own runs only (area, centroid
-and second moments in closed form, the convex hull from the outermost pixels
-of each row, the boundary length from a bounding-box crop), so detection cost
-grows with the number of runs rather than with components times frame area.
-Components are scored with the usual shape metrics (circularity, convexity,
-inertia ratio) and filtered to the round compact blobs a head produces.
-Coordinates are (x, y) with x the column and y the row.
+built. A frame's candidate components are measured together, in a fixed
+number of array passes over their runs alone: area, centroid and second
+moments from exact power sums, the boundary length from each run's overlap
+with its component in the row above, the convex hull from the outermost
+pixels of each row. Components are scored with the usual shape metrics
+(circularity, convexity, inertia ratio) and filtered to the round compact
+blobs a head produces. Coordinates are (x, y) with x the column and y the row.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .background import BinaryMask
 from .errors import ConfigError, DegenerateBlob, NotFound
 
 _SQRT2 = math.sqrt(2.0)
+_SHIFTS = np.array([-1, 0, 1]).reshape(3, 1, 1)
 
 
 @dataclass(eq=False)
@@ -47,12 +48,6 @@ class ComponentLabels:
     ecol: np.ndarray
     run_component: np.ndarray
     count: int
-
-    def runs(self, component_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, start columns and exclusive end columns of one component's
-        runs, in raster order, found by one scan of the run table."""
-        idx = np.flatnonzero(self.run_component == component_id)
-        return self.srow[idx], self.scol[idx], self.ecol[idx]
 
 
 @dataclass(frozen=True)
@@ -177,17 +172,6 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabels
     return ComponentLabels(w, h, srow, scol, ecol, run_component, int(is_root.sum()))
 
 
-def _perimeter_crofton(p: np.ndarray) -> float:
-    # Cauchy-Crofton over four line directions: boundary crossings along
-    # rows, columns and both diagonals, diagonal families spaced 1/sqrt(2);
-    # p is a boolean crop with a background border on every side
-    n_h = np.count_nonzero(p[:, 1:] != p[:, :-1])
-    n_v = np.count_nonzero(p[1:] != p[:-1])
-    n_d = np.count_nonzero(p[1:, 1:] != p[:-1, :-1])
-    n_d += np.count_nonzero(p[1:, :-1] != p[:-1, 1:])
-    return math.pi / 8.0 * (n_h + n_v + n_d / _SQRT2)
-
-
 def _hull_pixel_count(lefts: list[int], rights: list[int]) -> int:
     """Pixels covered by the convex hull of a component whose row y spans
     columns lefts[y]..rights[y], for rows y = 0, 1, ...; 0 if collinear.
@@ -220,56 +204,99 @@ def _hull_pixel_count(lefts: list[int], rights: list[int]) -> int:
     return (abs(twice_area) + boundary + 2) // 2
 
 
-def measure(labels: ComponentLabels, component_id: int) -> BlobMeasurements:
-    """Measure one labeled component from its runs alone.
+def _power_sums(yse: np.ndarray, first: np.ndarray) -> list[list]:
+    """Per group of runs (rows, starts and exclusive ends in ``yse``, groups
+    from ``first``), in the dtype of ``yse``: the sums of k, k^2, y*k, k^3,
+    y^2*k and y*k^2 at each run's end k less those at its start."""
+    y, k = yse[0], yse[1:]
+    k2, yk = k * k, y * k
+    sums = np.add.reduceat(np.array((k, k2, yk, k2 * k, y * yk, y * k2)), first, axis=2)
+    return (sums[:, 1] - sums[:, 0]).T.tolist()
 
-    Raises NotFound for ids outside 1..count.
+
+def measure(labels: ComponentLabels, component_ids) -> list[BlobMeasurements]:
+    """Measure the given components together, in one pass over their runs.
+
+    Returns one BlobMeasurements per id, in the order given; a repeated id
+    gets its measurements again. Raises NotFound for ids outside 1..count.
     """
-    if not 1 <= component_id <= labels.count:
-        raise NotFound(f"component {component_id} not in 1..{labels.count}")
-    rows, starts, ends = (a.tolist() for a in labels.runs(component_id))
-    y0, y1 = rows[0], rows[-1]
-    x0, x1 = min(starts), max(ends) - 1
+    ids = np.asarray(component_ids, dtype=np.int64).tolist()
+    if not ids:
+        return []
+    comps = sorted(set(ids))
+    if comps[0] < 1 or comps[-1] > labels.count:
+        raise NotFound(f"components {comps[0]}..{comps[-1]} not all in 1..{labels.count}")
+    comp_ids = np.array(comps)
+    wanted = np.zeros(labels.count + 1, dtype=bool)
+    wanted[comp_ids] = True
 
-    # exact integer sums over the pixels, in coordinates relative to the box
-    # corner (x0, y0); run [a, b] contributes sum x = (a+b)(b-a+1)/2 and
-    # sum x^2 = S(b) - S(a-1) with S(k) = k(k+1)(2k+1)/6
-    area = sx = sy = sxx = syy = sxy = 0
-    # each row's outermost pixels; a component's rows are contiguous and its
-    # runs in raster order, so row y opens with its leftmost run
-    lefts, rights = [], []
-    crop = np.zeros((y1 - y0 + 3, x1 - x0 + 3), dtype=bool)
-    for y, s, e in zip(rows, starts, ends):
-        y -= y0
-        a = s - x0
-        b = e - 1 - x0
-        if y == len(lefts):
-            lefts.append(a)
-            rights.append(b)
-        else:
-            rights[-1] = b
-        n = b - a + 1
-        rx = (a + b) * n // 2
-        area += n
-        sx += rx
-        sy += y * n
-        sxx += (b * (b + 1) * (2 * b + 1) - (a - 1) * a * (2 * a - 1)) // 6
-        syy += y * y * n
-        sxy += y * rx
-        crop[y + 1, a + 1:b + 2] = True
+    # the wanted runs grouped by component, each group in raster order
+    runs = np.flatnonzero(np.take(wanted, labels.run_component))
+    comp = labels.run_component[runs]
+    order = np.argsort(comp, kind="stable")
+    runs, comp = runs[order], comp[order]
+    yse = np.array((labels.srow[runs], labels.scol[runs], labels.ecol[runs]))
+    y, s, e = yse
+    first = np.searchsorted(comp, comp_ids)
 
-    # central moments as one exact integer ratio each: n*S_xy - S_x*S_y over n^2
-    nn = area * area
-    return BlobMeasurements(
-        area=area,
-        perimeter=_perimeter_crofton(crop),
-        # one rounding of the exact coordinate sum, as a mean over pixels gives
-        centroid=((x0 * area + sx) / area, (y0 * area + sy) / area),
-        hull_area=float(_hull_pixel_count(lefts, rights)),
-        second_moments=((area * sxx - sx * sx) / nn,
-                        (area * syy - sy * sy) / nn,
-                        (area * sxy - sx * sy) / nn),
-    )
+    # exact power sums: wrapping uint64 arithmetic gives each one modulo
+    # 2**64, and float64 to within 2**62 on any frame of up to 2**24 pixels
+    sums = [[w + ((int(f) - w + 2**63) >> 64 << 64) for w, f in zip(ws, fs)]
+            for ws, fs in zip(_power_sums(yse.view(np.uint64), first),
+                              _power_sums(yse.astype(np.float64), first))]
+
+    # runs keyed row*(w+2) + column as in labeling, component c's rows from
+    # c*(h+1) so that no two components have runs in adjacent rows; after a
+    # sentinel column, table rows: start key, end key, pixels up to the run
+    stride = labels.width + 2
+    row = np.multiply(comp, labels.height + 1, dtype=np.int64) + y
+    table = np.empty((3, len(runs) + 1), dtype=np.int64)
+    table[:, 0] = (-1, -1, 0)
+    np.add((row * stride)[None], yse[1:], out=table[:2, 1:])
+    np.cumsum(e - s, out=table[2, 1:])
+    # each run's overlap with its component in the row above at column
+    # shifts -1, 0 and +1: the pixels before its shifted end less start key
+    keys = table[:2, 1:] + (_SHIFTS - stride)
+    last = np.searchsorted(table[0], keys) - 1
+    before = table[2, last] - np.maximum(table[1, last] - keys, 0)
+    overlaps = np.add.reduceat(before[:, 1] - before[:, 0], first, axis=1).T.tolist()
+
+    # each row's outermost pixels, one slice per component
+    head = np.empty(len(runs), dtype=bool)
+    head[0] = True
+    np.not_equal(row[1:], row[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    lefts = s[heads].tolist()
+    rights = (np.maximum.reduceat(e, heads) - 1).tolist()
+    row_bounds = np.searchsorted(heads, first).tolist() + [len(heads)]
+    run_bounds = first.tolist() + [len(runs)]
+
+    out = {}
+    for i, cid in enumerate(comps):
+        # a run [s, e) sums 1, 2x and 6x^2 to k, k^2 - k and 2k^3 - 3k^2 + k
+        # at k = e less at k = s
+        area, k2, sy, k3, syy, yk2 = sums[i]
+        sx, sxx, sxy = (k2 - area) // 2, (2 * k3 - 3 * k2 + area) // 6, (yk2 - sy) // 2
+        # Cauchy-Crofton over rows, columns and both diagonals, diagonals
+        # spaced 1/sqrt(2): pixel pairs that are not both in the component
+        left, straight, right = overlaps[i]
+        n_h = 2 * (run_bounds[i + 1] - run_bounds[i])
+        n_v = 2 * area - 2 * straight
+        n_d = 4 * area - 2 * (left + right)
+        rows = slice(row_bounds[i], row_bounds[i + 1])
+        # central moments as one exact integer ratio each: n*S_xy - S_x*S_y over n^2
+        nn = area * area
+        out[cid] = BlobMeasurements(
+            area=area,
+            perimeter=math.pi / 8.0 * (n_h + n_v + n_d / _SQRT2),
+            # one rounding of the exact coordinate sum, as a mean over pixels gives
+            centroid=(sx / area, sy / area),
+            hull_area=float(_hull_pixel_count(lefts[rows], rights[rows])),
+            second_moments=((area * sxx - sx * sx) / nn,
+                            (area * syy - sy * sy) / nn,
+                            (area * sxy - sx * sy) / nn),
+        )
+    return [out[cid] for cid in ids]
 
 
 def circularity(m: BlobMeasurements) -> float:
@@ -321,9 +348,10 @@ def detect_blobs(mask: BinaryMask, params: Optional[BlobFilterParams] = None,
     areas = np.bincount(labels.run_component, weights=labels.ecol - labels.scol,
                         minlength=labels.count + 1)
     candidates = np.flatnonzero((areas >= params.min_area) & (areas <= max_area))
+    if not len(candidates):  # spare the batch's fixed cost
+        return []
     keypoints = []
-    for cid in candidates.tolist():
-        m = measure(labels, cid)
+    for m in measure(labels, candidates):
         try:
             circ = circularity(m)
             conv = convexity(m)

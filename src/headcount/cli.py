@@ -16,7 +16,7 @@ from pathlib import Path
 from .blobs import BlobFilterParams
 from .counting import LinePair
 from .errors import (ConfigError, EmptySequence, HeadcountError, ParseError,
-                     TruncatedStream, UnsupportedFormat, json_integer)
+                     TruncatedStream, UnsupportedFormat, json_integer, quote)
 from .frame_io import SequenceSpec, open_sequence, write_annotated
 from .metrics import CountReport, GroundTruth
 from .pipeline import PARAMS, CountingPipeline, PipelineConfig
@@ -32,15 +32,15 @@ def _parse_lines(text) -> LinePair:
         # a JSON list must hold integers; int() would truncate 40.5 to 40
         parts = list(text)
         if not all(type(p) is int for p in parts):
-            raise ConfigError(f"lines must be two integers, got {text!r}")
+            raise ConfigError(f"lines must be two integers, got {quote(text)}")
     else:
         parts = str(text).split(",")
     if len(parts) != 2:
-        raise ConfigError(f"lines must be Y1,Y2 with Y1 < Y2, got {text!r}")
+        raise ConfigError(f"lines must be Y1,Y2 with Y1 < Y2, got {quote(text)}")
     try:
         y1, y2 = int(parts[0]), int(parts[1])
     except (TypeError, ValueError):
-        raise ConfigError(f"lines must be two integers, got {text!r}") from None
+        raise ConfigError(f"lines must be two integers, got {quote(text)}") from None
     return LinePair(y1, y2)
 
 
@@ -49,9 +49,9 @@ def _parse_geometry(text: str) -> tuple[int, int]:
         w, h = text.lower().split("x")
         w, h = int(w), int(h)
     except ValueError:
-        raise ConfigError(f"geometry must be WxH, got {text!r}") from None
+        raise ConfigError(f"geometry must be WxH, got {quote(text)}") from None
     if w < 1 or h < 1:
-        raise ConfigError(f"geometry must be positive, got {text!r}")
+        raise ConfigError(f"geometry must be positive, got {quote(text)}")
     return w, h
 
 
@@ -85,7 +85,7 @@ def _typed(key: str, value, kind: type, nullable: bool = False):
         if kind is float:
             value = float(value)
     if type(value) is not kind:
-        raise ConfigError(f"{key} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+        raise ConfigError(f"{key} must be a JSON {_JSON_TYPES[kind]}, got {quote(value)}")
     return value
 
 

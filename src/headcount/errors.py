@@ -1,4 +1,5 @@
-"""Exception types raised across the counting pipeline, and the JSON integer rule."""
+"""Exception types raised across the counting pipeline, the JSON integer rule,
+and the bounded quoting of rejected values in error messages."""
 
 
 class HeadcountError(Exception):
@@ -45,9 +46,23 @@ class UndefinedAccuracy(HeadcountError):
     """Accuracy ratio undefined: true count 0 but counted > 0, or beyond a float."""
 
 
+def quote(value) -> str:
+    """``repr(value)`` for an error message, cut short: a rejected value can
+    be as long as its file or flag, so a ``bytes`` or ``str`` value past 20
+    bytes or characters shows only those and its length, and any other
+    value likewise its repr."""
+    if not isinstance(value, (bytes, str)):
+        text = repr(value)
+        return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
+    if len(value) <= 20:
+        return repr(value)
+    unit = "bytes" if isinstance(value, bytes) else "characters"
+    return f"{value[:20]!r}... ({len(value)} {unit})"
+
+
 def json_integer(name: str, value) -> int:
     """``value`` if it is a JSON integer: an ``int``, never a ``bool``, that
     fits in 64 bits. ConfigError naming ``name`` otherwise."""
     if type(value) is int and -2**63 <= value < 2**63:
         return value
-    raise ConfigError(f"{name} must be a 64-bit integer, got {value!r}")
+    raise ConfigError(f"{name} must be a 64-bit integer, got {quote(value)}")

@@ -15,7 +15,8 @@ from typing import Iterator, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, EmptySequence, ParseError, TruncatedStream, UnsupportedFormat
+from .errors import (ConfigError, EmptySequence, ParseError, TruncatedStream,
+                     UnsupportedFormat, quote)
 
 if TYPE_CHECKING:
     from .blobs import BlobKeypoint
@@ -87,13 +88,6 @@ def _read_header_token(path, data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def _quote(token: bytes) -> str:
-    # a header token can be as long as the file: quote a bounded prefix
-    if len(token) <= 20:
-        return repr(token)
-    return f"{token[:20]!r}... ({len(token)} bytes)"
-
-
 def load_frame(path, index: int = 0) -> Frame:
     """Read one binary PGM (P5, maxval 255) file.
 
@@ -105,7 +99,7 @@ def load_frame(path, index: int = 0) -> Frame:
     if magic == b"P2":
         raise ParseError(f"{path}: ASCII PGM (P2) is not supported, use binary P5")
     if magic != b"P5":
-        raise ParseError(f"{path}: not a binary PGM file (magic {_quote(magic)})")
+        raise ParseError(f"{path}: not a binary PGM file (magic {quote(magic)})")
     fields = []
     for name in ("width", "height", "maxval"):
         token, pos = _read_header_token(path, data, pos)
@@ -115,13 +109,13 @@ def load_frame(path, index: int = 0) -> Frame:
                 raise ValueError
             value = int(token)  # raises past the interpreter's digit limit
         except ValueError:
-            raise ParseError(f"{path}: non-numeric {name} field {_quote(token)}") from None
+            raise ParseError(f"{path}: non-numeric {name} field {quote(token)}") from None
         if value <= 0:
             raise ParseError(f"{path}: {name} must be positive, got {value}")
         fields.append(value)
     width, height, maxval = fields
     if maxval != 255:
-        raise UnsupportedFormat(f"{path}: maxval {_quote(token)} unsupported (need 255)")
+        raise UnsupportedFormat(f"{path}: maxval {quote(token)} unsupported (need 255)")
     if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
         raise ParseError(f"{path}: missing whitespace after maxval")
     pos += 1

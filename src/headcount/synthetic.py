@@ -16,7 +16,7 @@ from typing import Any, Iterator, Optional
 import numpy as np
 
 from .counting import LinePair
-from .errors import ConfigError, json_integer
+from .errors import ConfigError, json_integer, quote
 from .frame_io import Frame
 from .metrics import GroundTruth
 
@@ -120,7 +120,7 @@ def _finite_pair(name: str, value) -> tuple[float, float]:
             and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                     and abs(v) <= sys.float_info.max for v in value)):
         return float(value[0]), float(value[1])
-    raise ConfigError(f"actor {name} must be two finite numbers, got {value!r}")
+    raise ConfigError(f"actor {name} must be two finite numbers, got {quote(value)}")
 
 
 def _integers(owner: str, doc: dict[str, Any], names: tuple) -> dict[str, int]:

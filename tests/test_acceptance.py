@@ -134,14 +134,14 @@ def test_criterion_05_shape_metric_sanity():
     with criterion(5, "disk radii 5..30: circ 1+-0.15, inertia 1+-0.1, conv >= 0.9"):
         for radius in range(5, 31):
             labels = label_components(BinaryMask(disk_mask(radius)), 8)
-            m = measure(labels, 1)
+            m = measure(labels, [1])[0]
             assert abs(circularity(m) - 1.0) <= 0.15, f"radius {radius}"
             assert abs(inertia_ratio(m) - 1.0) <= 0.1, f"radius {radius}"
             assert convexity(m) >= 0.9, f"radius {radius}"
         bar = np.zeros((5, 24), dtype=bool)
         bar[2, 2:22] = True
         labels = label_components(BinaryMask(bar), 8)
-        assert inertia_ratio(measure(labels, 1)) == 0.0
+        assert inertia_ratio(measure(labels, [1])[0]) == 0.0
 
 
 def test_criterion_06_background_convergence():

@@ -9,7 +9,7 @@ from headcount import (BinaryMask, BlobFilterParams, BlobMeasurements,
 from headcount.errors import ConfigError, DegenerateBlob, NotFound
 
 import headcount.blobs
-from oracles import (disk_mask, disk_pixel_count, flood_fill_labels,
+from oracles import (crofton_perimeter, disk_mask, disk_pixel_count, flood_fill_labels,
                      hull_pixel_count, label_image, measure_fullframe)
 
 
@@ -161,7 +161,7 @@ def test_label_stress_shapes_have_the_intended_components():
 def test_component_areas_sum_to_foreground(rng):
     bits = rng.random((40, 40)) < 0.5
     labels = label_components(mask_of(bits), 8)
-    total = sum(measure(labels, cid).area for cid in range(1, labels.count + 1))
+    total = sum(m.area for m in measure(labels, range(1, labels.count + 1)))
     assert total == int(bits.sum())
 
 
@@ -169,21 +169,21 @@ def test_component_areas_sum_to_foreground(rng):
 
 def test_measure_single_pixel():
     labels = label_components(blob_mask([(3, 7)], (10, 10)), 8)
-    m = measure(labels, 1)
+    m = measure(labels, [1])[0]
     assert m.area == 1
     assert m.centroid == (3.0, 7.0)
 
 
 def test_measure_two_by_two_block():
     labels = label_components(blob_mask([(0, 0), (1, 0), (0, 1), (1, 1)], (6, 6)), 8)
-    m = measure(labels, 1)
+    m = measure(labels, [1])[0]
     assert m.area == 4
     assert m.centroid == (0.5, 0.5)
 
 
 def test_measure_disk_radius_ten():
     labels = label_components(BinaryMask(disk_mask(10)), 8)
-    m = measure(labels, 1)
+    m = measure(labels, [1])[0]
     assert m.area == disk_pixel_count(10) == 317
     assert abs(m.area - math.pi * 100) / (math.pi * 100) < 0.03
     center = disk_mask(10).shape[0] // 2
@@ -193,10 +193,9 @@ def test_measure_disk_radius_ten():
 
 def test_measure_invalid_id():
     labels = label_components(blob_mask([(1, 1)], (4, 4)), 8)
-    with pytest.raises(NotFound):
-        measure(labels, 2)
-    with pytest.raises(NotFound):
-        measure(labels, 0)
+    for ids in ([2], [0], [1, 0], [1, 2, 1], [-1, 1]):
+        with pytest.raises(NotFound):
+            measure(labels, ids)
 
 
 # ------------------------------------------- run-based measure vs oracle
@@ -219,14 +218,19 @@ def assert_same_keypoints(got, want):
         assert g.inertia_ratio == pytest.approx(w.inertia_ratio, rel=1e-12, abs=1e-12)
 
 
+def measure_each_fullframe(labels, component_ids):
+    return [measure_fullframe(labels, cid) for cid in component_ids]
+
+
 def detect_recorded(monkeypatch, measure_fn, mask, params, connectivity=8):
     """detect_blobs with ``measure_fn`` in place of measure; returns the
     keypoints and every measurement taken, by component id."""
     measured = {}
 
-    def recording(labels, cid):
-        measured[cid] = measure_fn(labels, cid)
-        return measured[cid]
+    def recording(labels, component_ids):
+        got = measure_fn(labels, component_ids)
+        measured.update(zip(np.asarray(component_ids).tolist(), got))
+        return got
 
     with monkeypatch.context() as m:
         m.setattr(headcount.blobs, "measure", recording)
@@ -235,7 +239,7 @@ def detect_recorded(monkeypatch, measure_fn, mask, params, connectivity=8):
 
 def assert_detect_matches_oracle(monkeypatch, mask, params, connectivity=8):
     got, got_m = detect_recorded(monkeypatch, measure, mask, params, connectivity)
-    want, want_m = detect_recorded(monkeypatch, measure_fullframe, mask, params,
+    want, want_m = detect_recorded(monkeypatch, measure_each_fullframe, mask, params,
                                    connectivity)
     assert_same_keypoints(got, want)
     assert got_m.keys() == want_m.keys()
@@ -271,9 +275,9 @@ def test_measure_matches_fullframe_oracle_on_small_masks(rng):
         bits = rng.random((16, 16)) < rng.uniform(0.1, 0.9)
         for conn in (4, 8):
             labels = label_components(mask_of(bits), conn)
-            for cid in range(1, labels.count + 1):
-                assert_same_measurements(measure(labels, cid),
-                                         measure_fullframe(labels, cid))
+            ids = range(1, labels.count + 1)
+            for cid, got in zip(ids, measure(labels, ids)):
+                assert_same_measurements(got, measure_fullframe(labels, cid))
 
 
 def test_measure_matches_fullframe_oracle_on_disks():
@@ -281,7 +285,7 @@ def test_measure_matches_fullframe_oracle_on_disks():
         for center in (None, (radius + 3.5, radius + 3.25)):
             labels = label_components(BinaryMask(disk_mask(radius, center=center)), 8)
             assert labels.count == 1
-            assert_same_measurements(measure(labels, 1), measure_fullframe(labels, 1))
+            assert_same_measurements(measure(labels, [1])[0], measure_fullframe(labels, 1))
 
 
 def test_detect_matches_fullframe_oracle_on_many_disks(monkeypatch):
@@ -290,8 +294,122 @@ def test_detect_matches_fullframe_oracle_on_many_disks(monkeypatch):
         assert len(assert_detect_matches_oracle(monkeypatch, mask, params)) > 20
 
 
+def test_detect_measures_every_candidate_in_one_call(monkeypatch):
+    calls = []
+
+    def spy(labels, component_ids):
+        calls.append(np.asarray(component_ids).tolist())
+        return measure(labels, component_ids)
+
+    monkeypatch.setattr(headcount.blobs, "measure", spy)
+    detect_blobs(BinaryMask(many_disks_mask(np.random.default_rng(11))))
+    assert len(calls) == 1 and len(calls[0]) > 20
+    assert calls[0] == sorted(set(calls[0]))
+    calls.clear()
+    assert detect_blobs(blob_mask([(1, 1)], (8, 8))) == []
+    assert calls == []
+
+
+def drawn(*rows):
+    """Boolean mask from rows of text, '#' for foreground."""
+    return np.array([[c == "#" for c in row] for row in rows])
+
+
+def assert_batch_matches_oracle(bits, conn):
+    labels = label_components(mask_of(bits), conn)
+    ids = range(1, labels.count + 1)
+    for cid, got in zip(ids, measure(labels, ids)):
+        assert_same_measurements(got, measure_fullframe(labels, cid))
+    return labels.count
+
+
+def test_measure_runs_meeting_only_at_a_corner():
+    # at connectivity 4 the second run of row 1 meets row 0's run only at a
+    # corner and joins its component through row 2; in the last mask the
+    # corner-to-corner pixels are separate components
+    bits = drawn("###..",
+                 "#..#.",
+                 "####.")
+    assert assert_batch_matches_oracle(bits, 4) == 1
+    assert assert_batch_matches_oracle(bits, 8) == 1
+    assert assert_batch_matches_oracle(drawn("#.#", ".#.", "#.#"), 4) == 5
+
+
+def test_measure_components_interleaved_in_the_same_rows():
+    # two combs whose teeth alternate along rows 2 to 5
+    bits = drawn("#########",
+                 "#...#...#",
+                 "#.#.#.#.#",
+                 "#.#.#.#.#",
+                 "#.#.#.#.#",
+                 "#.#.#.#.#",
+                 "..#...#..",
+                 "..#####..")
+    for conn in (4, 8):
+        assert assert_batch_matches_oracle(bits, conn) == 2
+
+
+def test_measure_subset_equals_the_full_batch(rng):
+    for _ in range(20):
+        bits = rng.random((24, 32)) < rng.uniform(0.2, 0.8)
+        for conn in (4, 8):
+            labels = label_components(mask_of(bits), conn)
+            full = measure(labels, range(1, labels.count + 1))
+            subset = rng.choice(labels.count, size=(labels.count + 2) // 3,
+                                replace=False) + 1
+            subset.sort()
+            assert measure(labels, subset) == [full[cid - 1] for cid in subset]
+
+
+def test_measure_follows_the_order_of_the_ids():
+    # unsorted and repeated ids: one measurement per id, in the order given
+    labels = label_components(mask_of(drawn("#.##.###")), 8)
+    full = measure(labels, [1, 2, 3])
+    ids = [3, 1, 3, 2, 1]
+    assert measure(labels, ids) == [full[cid - 1] for cid in ids]
+    assert measure(labels, np.array(ids)) == [full[cid - 1] for cid in ids]
+    assert measure(labels, []) == []
+
+
+def test_measure_is_exact_on_a_frame_two_to_the_21_wide():
+    # per run, last*(last+1)*(2*last+1) passes 2**63 here, and the sums of
+    # x^2 pass 2**64: the measurements must still come from exact sums
+    w = 2**21
+    spans = [(y, 2 + y * 2**15, w - 8 - y * 2**15) for y in range(8)]
+    bits = np.zeros((8, w), dtype=bool)
+    for y, a, b in spans:
+        bits[y, a:b + 1] = True
+    bits[:3, w - 3:] = True
+    labels = label_components(mask_of(bits), 8)
+    assert labels.count == 2
+    big, block = measure(labels, [1, 2])
+
+    area = sx = sy = sxx = syy = sxy = 0
+    for y, a, b in spans:
+        n = b - a + 1
+        rx = (a + b) * n // 2
+        area += n
+        sx += rx
+        sy += y * n
+        sxx += (b * (b + 1) * (2 * b + 1) - (a - 1) * a * (2 * a - 1)) // 6
+        syy += y * y * n
+        sxy += y * rx
+    assert sxx > 2**64
+    nn = area * area
+    assert big.area == area
+    assert big.centroid == (sx / area, sy / area)
+    assert big.second_moments == ((area * sxx - sx * sx) / nn, (area * syy - sy * sy) / nn,
+                                  (area * sxy - sx * sy) / nn)
+    assert big.perimeter == crofton_perimeter(bits[:, spans[0][1]:spans[0][2] + 1])
+    corners = [(x, y) for y, a, b in spans for x in (a, b)]
+    assert big.hull_area == hull_pixel_count(corners)
+    assert block.area == 9
+    assert block.centroid == (w - 2.0, 1.0)
+    assert block.perimeter == crofton_perimeter(np.ones((3, 3), dtype=bool))
+
+
 def test_label_image_is_painted_from_runs_on_demand(rng):
-    # runs(cid) returns exactly the pixels the oracle painter gives cid, in
+    # the runs of cid are exactly the pixels the oracle painter gives cid, in
     # raster order, and the labeling keeps no state besides its run table
     for _ in range(20):
         bits = rng.random((24, 40)) < rng.uniform(0.1, 0.9)
@@ -299,7 +417,8 @@ def test_label_image_is_painted_from_runs_on_demand(rng):
             labels = label_components(mask_of(bits), conn)
             image = label_image(labels)
             for cid in range(1, labels.count + 1):
-                rows, starts, ends = labels.runs(cid)
+                idx = np.flatnonzero(labels.run_component == cid)
+                rows, starts, ends = labels.srow[idx], labels.scol[idx], labels.ecol[idx]
                 painted = np.zeros_like(bits)
                 for y, s, e in zip(rows.tolist(), starts.tolist(), ends.tolist()):
                     painted[y, s:e] = True
@@ -339,7 +458,7 @@ def test_circularity_zero_perimeter():
 
 def test_circularity_measured_disk():
     labels = label_components(BinaryMask(disk_mask(15)), 8)
-    value = circularity(measure(labels, 1))
+    value = circularity(measure(labels, [1])[0])
     assert abs(value - 1.0) <= 0.15
     assert value == pytest.approx(0.9576, abs=5e-3)  # recorded estimator output
 
@@ -348,7 +467,7 @@ def test_convexity_solid_rectangle():
     bits = np.zeros((12, 12), dtype=bool)
     bits[2:9, 3:11] = True
     labels = label_components(mask_of(bits), 8)
-    assert convexity(measure(labels, 1)) == pytest.approx(1.0, abs=1e-12)
+    assert convexity(measure(labels, [1])[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_convexity_plus_shape():
@@ -357,7 +476,7 @@ def test_convexity_plus_shape():
     bits[5:10, 0:15] = True
     bits[0:15, 5:10] = True
     labels = label_components(mask_of(bits), 8)
-    m = measure(labels, 1)
+    m = measure(labels, [1])[0]
     assert m.area == 125
     assert m.hull_area == 165.0
     value = convexity(m)
@@ -371,7 +490,7 @@ def test_convexity_collinear_pixels_degenerate():
                 [(4, 2), (4, 5)]):               # two pixels
         labels = label_components(blob_mask(pts, (8, 8)), 8)
         with pytest.raises(DegenerateBlob):
-            convexity(measure(labels, 1))
+            convexity(measure(labels, [1])[0])
 
 
 # shapes whose hulls the per-row extremes must get right; the collinear ones
@@ -409,10 +528,10 @@ def test_hull_area_equals_every_pixel_oracle(name):
         for cid in range(1, labels.count + 1):
             ys, xs = np.nonzero(image == cid)
             want = hull_pixel_count(list(zip(xs.tolist(), ys.tolist())))
-            assert measure(labels, cid).hull_area == want
+            assert measure(labels, [cid])[0].hull_area == want
     labels = label_components(mask_of(bits), 8)
     assert labels.count == 1
-    m = measure(labels, 1)
+    m = measure(labels, [1])[0]
     if name in COLLINEAR_SHAPES:
         with pytest.raises(DegenerateBlob):
             convexity(m)
@@ -425,7 +544,7 @@ def test_convexity_never_exceeds_one(rng):
         bits = rng.random((20, 20)) < 0.6
         labels = label_components(mask_of(bits), 8)
         for cid in range(1, labels.count + 1):
-            m = measure(labels, cid)
+            m = measure(labels, [cid])[0]
             if m.hull_area > 0:
                 assert convexity(m) <= 1.0
                 assert m.hull_area >= m.area
@@ -433,18 +552,18 @@ def test_convexity_never_exceeds_one(rng):
 
 def test_inertia_ratio_disk_is_one():
     labels = label_components(BinaryMask(disk_mask(12)), 8)
-    assert inertia_ratio(measure(labels, 1)) == pytest.approx(1.0, abs=0.1)
+    assert inertia_ratio(measure(labels, [1])[0]) == pytest.approx(1.0, abs=0.1)
 
 
 def test_inertia_ratio_thin_bar_exactly_zero():
     labels = label_components(blob_mask([(x, 3) for x in range(20)], (8, 24)), 8)
-    assert inertia_ratio(measure(labels, 1)) == 0.0
+    assert inertia_ratio(measure(labels, [1])[0]) == 0.0
 
 
 def test_inertia_ratio_two_by_twenty_bar():
     pts = [(x, y) for x in range(20) for y in (0, 1)]
     labels = label_components(blob_mask(pts, (4, 22)), 8)
-    got = inertia_ratio(measure(labels, 1))
+    got = inertia_ratio(measure(labels, [1])[0])
     # moment oracle: variances of the coordinate lists
     xs = np.array([p[0] for p in pts], dtype=float)
     ys = np.array([p[1] for p in pts], dtype=float)
@@ -456,7 +575,7 @@ def test_inertia_ratio_two_by_twenty_bar():
 def test_inertia_ratio_single_pixel_degenerate():
     labels = label_components(blob_mask([(2, 2)], (6, 6)), 8)
     with pytest.raises(DegenerateBlob):
-        inertia_ratio(measure(labels, 1))
+        inertia_ratio(measure(labels, [1])[0])
 
 
 # ------------------------------------------------------------- detect_blobs

@@ -618,3 +618,42 @@ def test_unknown_flag_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--input", str(tmp_path), "--frobnicate"])
     assert exc.value.code == 2
+
+
+def write_json(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+LONG_VALUE_CASES = {
+    # a 4000-digit integer still parses as JSON, so json_integer rejects it
+    "truth_count": lambda tmp: [
+        "eval", "--report", write_json(tmp / "r.json", {"in": 1, "out": 1, "total": 2}),
+        "--truth", write_json(tmp / "t.json", {"true_in": int("9" * 4000),
+                                               "true_out": 1, "true_total": 2})],
+    "lines_flag": lambda tmp: ["count", "--input", str(tmp), "--lines", "9" * 5000 + ",5"],
+    "raw_geometry": lambda tmp: ["count", "--input", str(tmp), "--lines", "1,5",
+                                 "--raw", "9" * 5000 + "x5"],
+    "config_integer": lambda tmp: [
+        "count", "--input", str(tmp), "--lines", "1,5",
+        "--config", write_json(tmp / "c.json", {"min_area": int("9" * 4000)})],
+    "config_type": lambda tmp: [
+        "count", "--input", str(tmp), "--lines", "1,5",
+        "--config", write_json(tmp / "c.json", {"alpha": "a" * 5000})],
+    "config_lines": lambda tmp: [
+        "count", "--input", str(tmp),
+        "--config", write_json(tmp / "c.json", {"lines": ["x" * 5000, 3]})],
+    "spec_actor": lambda tmp: [
+        "synth", "--out", str(tmp / "out"), "--spec", write_json(tmp / "s.json", {
+            **SCENE, "actors": [{**SCENE["actors"][0], "start": ["x" * 5000, 1.0]}]})],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_VALUE_CASES))
+def test_long_rejected_value_is_quoted_in_part(tmp_path, capsys, case):
+    code = main(LONG_VALUE_CASES[case](tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "... (" in captured.err
+    assert len(captured.err.encode()) < 200
