@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .background import BinaryMask
-from .errors import ConfigError, DegenerateBlob, NotFound
+from .errors import ConfigError, DegenerateBlob, NotFound, quote
 
 _SQRT2 = math.sqrt(2.0)
 _SHIFTS = np.array([-1, 0, 1]).reshape(3, 1, 1)
@@ -69,14 +69,10 @@ class BlobMeasurements:
 
 @dataclass(frozen=True)
 class BlobKeypoint:
-    """A detected blob: centroid (x, y), equivalent-circle diameter, and its
-    shape scores."""
+    """A detected blob: centroid (x, y) and equivalent-circle diameter."""
 
     centroid: tuple[float, float]
     diameter_s: float
-    circularity: float
-    convexity: float
-    inertia_ratio: float
 
 
 @dataclass
@@ -217,16 +213,16 @@ def _power_sums(yse: np.ndarray, first: np.ndarray) -> list[list]:
 def measure(labels: ComponentLabels, component_ids) -> list[BlobMeasurements]:
     """Measure the given components together, in one pass over their runs.
 
-    Returns one BlobMeasurements per id, in the order given; a repeated id
-    gets its measurements again. Raises NotFound for ids outside 1..count.
+    ``component_ids`` must be ascending and distinct, each in 1..count, as
+    ``detect_blobs`` passes them; returns one BlobMeasurements per id, in
+    that order. Raises NotFound for any other ids.
     """
     ids = np.asarray(component_ids, dtype=np.int64).tolist()
     if not ids:
         return []
-    comps = sorted(set(ids))
-    if comps[0] < 1 or comps[-1] > labels.count:
-        raise NotFound(f"components {comps[0]}..{comps[-1]} not all in 1..{labels.count}")
-    comp_ids = np.array(comps)
+    if ids[0] < 1 or ids[-1] > labels.count or any(b <= a for a, b in zip(ids, ids[1:])):
+        raise NotFound(f"ids {quote(ids)} not ascending in 1..{labels.count}")
+    comp_ids = np.array(ids)
     wanted = np.zeros(labels.count + 1, dtype=bool)
     wanted[comp_ids] = True
 
@@ -271,8 +267,8 @@ def measure(labels: ComponentLabels, component_ids) -> list[BlobMeasurements]:
     row_bounds = np.searchsorted(heads, first).tolist() + [len(heads)]
     run_bounds = first.tolist() + [len(runs)]
 
-    out = {}
-    for i, cid in enumerate(comps):
+    out = []
+    for i in range(len(ids)):
         # a run [s, e) sums 1, 2x and 6x^2 to k, k^2 - k and 2k^3 - 3k^2 + k
         # at k = e less at k = s
         area, k2, sy, k3, syy, yk2 = sums[i]
@@ -286,7 +282,7 @@ def measure(labels: ComponentLabels, component_ids) -> list[BlobMeasurements]:
         rows = slice(row_bounds[i], row_bounds[i + 1])
         # central moments as one exact integer ratio each: n*S_xy - S_x*S_y over n^2
         nn = area * area
-        out[cid] = BlobMeasurements(
+        out.append(BlobMeasurements(
             area=area,
             perimeter=math.pi / 8.0 * (n_h + n_v + n_d / _SQRT2),
             # one rounding of the exact coordinate sum, as a mean over pixels gives
@@ -295,8 +291,8 @@ def measure(labels: ComponentLabels, component_ids) -> list[BlobMeasurements]:
             second_moments=((area * sxx - sx * sx) / nn,
                             (area * syy - sy * sy) / nn,
                             (area * sxy - sx * sy) / nn),
-        )
-    return [out[cid] for cid in ids]
+        ))
+    return out
 
 
 def circularity(m: BlobMeasurements) -> float:
@@ -352,23 +348,12 @@ def detect_blobs(mask: BinaryMask, params: Optional[BlobFilterParams] = None,
         return []
     keypoints = []
     for m in measure(labels, candidates):
-        try:
-            circ = circularity(m)
-            conv = convexity(m)
-            inertia = inertia_ratio(m)
+        try:  # the first score below its bound rejects; undefined ones too
+            if (circularity(m) < params.min_circularity
+                    or convexity(m) < params.min_convexity
+                    or inertia_ratio(m) < params.min_inertia_ratio):
+                continue
         except DegenerateBlob:
             continue
-        if circ < params.min_circularity:
-            continue
-        if conv < params.min_convexity:
-            continue
-        if inertia < params.min_inertia_ratio:
-            continue
-        keypoints.append(BlobKeypoint(
-            centroid=m.centroid,
-            diameter_s=2.0 * math.sqrt(m.area / math.pi),
-            circularity=circ,
-            convexity=conv,
-            inertia_ratio=inertia,
-        ))
+        keypoints.append(BlobKeypoint(m.centroid, 2.0 * math.sqrt(m.area / math.pi)))
     return keypoints

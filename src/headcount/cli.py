@@ -16,7 +16,7 @@ from pathlib import Path
 from .blobs import BlobFilterParams
 from .counting import LinePair
 from .errors import (ConfigError, EmptySequence, HeadcountError, ParseError,
-                     TruncatedStream, UnsupportedFormat, json_integer, quote)
+                     TruncatedStream, UnsupportedFormat, digits, json_integer, quote)
 from .frame_io import SequenceSpec, open_sequence, write_annotated
 from .metrics import CountReport, GroundTruth
 from .pipeline import PARAMS, CountingPipeline, PipelineConfig
@@ -38,20 +38,17 @@ def _parse_lines(text) -> LinePair:
     if len(parts) != 2:
         raise ConfigError(f"lines must be Y1,Y2 with Y1 < Y2, got {quote(text)}")
     try:
-        y1, y2 = int(parts[0]), int(parts[1])
-    except (TypeError, ValueError):
+        y1, y2 = (p if type(p) is int else digits(p) for p in parts)
+    except ValueError:
         raise ConfigError(f"lines must be two integers, got {quote(text)}") from None
     return LinePair(y1, y2)
 
 
 def _parse_geometry(text: str) -> tuple[int, int]:
     try:
-        w, h = text.lower().split("x")
-        w, h = int(w), int(h)
+        w, h = map(digits, text.lower().split("x"))
     except ValueError:
         raise ConfigError(f"geometry must be WxH, got {quote(text)}") from None
-    if w < 1 or h < 1:
-        raise ConfigError(f"geometry must be positive, got {quote(text)}")
     return w, h
 
 
@@ -118,23 +115,16 @@ def cmd_count(args) -> int:
     spec = SequenceSpec(source=Path(args.input))
     if args.raw:
         spec.width, spec.height = _parse_geometry(args.raw)
-    if not spec.source.exists():
-        raise FileNotFoundError(f"input {spec.source} does not exist")
 
-    annotate_dir = None
-    if args.annotate:
-        annotate_dir = Path(args.annotate)
-        annotate_dir.mkdir(parents=True, exist_ok=True)
-
+    annotate_dir = Path(args.annotate) if args.annotate else None
     pipeline = CountingPipeline(config)
     for frame in open_sequence(spec):
-        pipeline.process_frame(frame)
+        keypoints = pipeline.process_frame(frame)
         if annotate_dir is not None:
-            write_annotated(frame, pipeline.last_keypoints, config.lines,
+            # made after a frame has passed: a bad source, geometry or line writes nothing
+            annotate_dir.mkdir(parents=True, exist_ok=True)
+            write_annotated(frame, keypoints, config.lines,
                             annotate_dir / f"{frame.index:06d}.pgm")
-    if pipeline.frames_processed == 0:
-        raise EmptySequence("empty sequence")
-
     print(pipeline.report(truth).to_json())
     return 0
 
@@ -178,6 +168,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _flag_type(kind: type):
+    """``kind`` as an argparse type whose error quotes the rejected text in part."""
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {quote(text)}")
+    return parse
+
+
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lines", help="counting rows as Y1,Y2 (Y1 above Y2)")
     for key, (_, _, kind, text) in PARAMS.items():
@@ -185,7 +185,7 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
         if kind is bool:
             p.add_argument(flag, action="store_const", const=True, help=text)
         else:
-            p.add_argument(flag, type=kind, help=text)
+            p.add_argument(flag, type=_flag_type(kind), help=text)
     p.add_argument("--config", help="JSON file with the same keys as the flags")
 
 
@@ -208,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="render a synthetic scene + truth.json")
     p_synth.add_argument("--spec", required=True, help="scene spec JSON")
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--seed", type=int, help="override the spec's noise seed")
+    p_synth.add_argument("--seed", type=_flag_type(int),
+                         help="override the spec's noise seed")
     p_synth.add_argument("--lines", help="counting rows Y1,Y2 for the ground truth")
     p_synth.set_defaults(func=cmd_synth)
 

@@ -1,5 +1,5 @@
-"""Exception types raised across the counting pipeline, the JSON integer rule,
-and the bounded quoting of rejected values in error messages."""
+"""Exception types raised across the counting pipeline, the JSON and text
+integer rules, and the bounded quoting of rejected values in error messages."""
 
 
 class HeadcountError(Exception):
@@ -66,3 +66,12 @@ def json_integer(name: str, value) -> int:
     if type(value) is int and -2**63 <= value < 2**63:
         return value
     raise ConfigError(f"{name} must be a 64-bit integer, got {quote(value)}")
+
+
+def digits(text) -> int:
+    """int(text) of a ``str`` or ``bytes`` of ASCII digits only: int() alone
+    would also take " +1_0" and fullwidth digits. ValueError otherwise, and
+    past the interpreter's digit limit."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)

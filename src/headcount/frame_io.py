@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence, TYPE_CHECKING
 import numpy as np
 
 from .errors import (ConfigError, EmptySequence, ParseError, TruncatedStream,
-                     UnsupportedFormat, quote)
+                     UnsupportedFormat, digits, quote)
 
 if TYPE_CHECKING:
     from .blobs import BlobKeypoint
@@ -29,25 +29,27 @@ _WHITESPACE = b" \t\r\n\v\f"
 class Frame:
     """One 8-bit grayscale frame.
 
-    ``pixels`` is a row-major ``(height, width)`` uint8 array; ``index`` is the
-    frame's ordinal within its sequence.
+    ``index`` is the frame's ordinal within its sequence; ``pixels`` is a
+    row-major ``(height, width)`` uint8 array, the one record of the frame's
+    size.
     """
 
-    width: int
-    height: int
     index: int
     pixels: np.ndarray
 
     def __post_init__(self):
-        if self.pixels.shape != (self.height, self.width):
-            raise ValueError(
-                f"pixel array shape {self.pixels.shape} does not match "
-                f"{self.width}x{self.height}"
-            )
-        if self.pixels.dtype != np.uint8:
-            raise ValueError(f"pixels must be uint8, got {self.pixels.dtype}")
+        if self.pixels.dtype != np.uint8 or self.pixels.ndim != 2:
+            raise ValueError("pixels must be a 2-D uint8 array")
         if self.index < 0:
             raise ValueError("frame index must be >= 0")
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
 
 
 @dataclass
@@ -104,10 +106,7 @@ def load_frame(path, index: int = 0) -> Frame:
     for name in ("width", "height", "maxval"):
         token, pos = _read_header_token(path, data, pos)
         try:
-            # ASCII digits only: int() would also take "+16" and "1_6"
-            if not token.isdigit():
-                raise ValueError
-            value = int(token)  # raises past the interpreter's digit limit
+            value = digits(token)
         except ValueError:
             raise ParseError(f"{path}: non-numeric {name} field {quote(token)}") from None
         if value <= 0:
@@ -125,8 +124,7 @@ def load_frame(path, index: int = 0) -> Frame:
         need = size if size <= 10**20 else "over 10**20"
         raise ParseError(f"{path}: truncated pixel data ({len(data) - pos} of {need} bytes)")
     pixels = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)
-    return Frame(width=width, height=height, index=index,
-                 pixels=pixels.reshape(height, width).copy())
+    return Frame(index, pixels.reshape(height, width).copy())
 
 
 def write_frame(frame: Frame, path) -> None:
@@ -173,9 +171,9 @@ def open_sequence(spec: SequenceSpec) -> Iterator[Frame]:
     frame_size = spec.width * spec.height
     total = src.stat().st_size
     if total % frame_size != 0:
-        raise TruncatedStream(
-            f"{src}: size {total} is not a multiple of frame size {frame_size}"
-        )
+        # width * height can run to thousands of digits, past what str() takes
+        need = frame_size if frame_size <= 10**20 else "over 10**20"
+        raise TruncatedStream(f"{src}: size {total} is not a multiple of frame size {need}")
     count = total // frame_size
     if count == 0:
         raise EmptySequence(f"{src} holds no complete frames")
@@ -186,7 +184,7 @@ def open_sequence(spec: SequenceSpec) -> Iterator[Frame]:
             if got != frame_size:
                 raise TruncatedStream(f"{src}: frame {i} ends after {got} of "
                                       f"{frame_size} bytes")
-            yield Frame(width=spec.width, height=spec.height, index=i, pixels=pixels)
+            yield Frame(i, pixels)
 
 
 def circle_points(radius: int) -> list[tuple[int, int]]:
@@ -229,4 +227,4 @@ def write_annotated(frame: Frame, keypoints: Sequence["BlobKeypoint"],
             px, py = cx + dx, cy + dy
             if 0 <= px < frame.width and 0 <= py < frame.height:
                 out[py, px] = 255
-    write_frame(Frame(frame.width, frame.height, frame.index, out), path)
+    write_frame(Frame(frame.index, out), path)

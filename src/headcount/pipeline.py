@@ -93,10 +93,8 @@ class CountingPipeline:
         self.counters = Counters()
         self.events: list[CrossEvent] = []
         self.frames_processed = 0
-        self.last_keypoints: list[BlobKeypoint] = []
         self._model: Optional[BackgroundModel] = None
         self._tracker = Tracker(config.tracker)
-        self._next_index = 0
 
     def _init_model(self, frame: Frame) -> None:
         if frame.width < MIN_FRAME_SIDE or frame.height < MIN_FRAME_SIDE:
@@ -108,11 +106,11 @@ class CountingPipeline:
         self._model = BackgroundModel(frame, alpha=self.config.alpha,
                                       threshold=self.config.threshold)
 
-    def process_frame(self, frame: Frame) -> list[CrossEvent]:
-        """Run all stages on one frame and return the crossings it produced."""
-        if frame.index != self._next_index:
-            raise OrderError(f"expected frame {self._next_index}, got {frame.index}")
-        self._next_index += 1
+    def process_frame(self, frame: Frame) -> list[BlobKeypoint]:
+        """Run all stages on one frame and return its keypoints, none during
+        warmup; the crossings it produced are appended to ``events``."""
+        if frame.index != self.frames_processed:
+            raise OrderError(f"expected frame {self.frames_processed}, got {frame.index}")
         self.frames_processed += 1
 
         if self._model is None:
@@ -121,17 +119,14 @@ class CountingPipeline:
             self._model.update(frame)
 
         if frame.index < self.config.warmup:
-            self.last_keypoints = []
             return []
 
         mask = self._model.subtract(frame)
         if self.config.morph_radius > 0:
             mask = morph_open(mask, self.config.morph_radius)
         keypoints = detect_blobs(mask, self.config.blob, self.config.connectivity)
-        self.last_keypoints = keypoints
 
         self._tracker.step(keypoints, frame.index)
-        new_events = []
         for track in self._tracker.tracks:
             if track.last_frame != frame.index:
                 continue  # not observed this frame, no new position to classify
@@ -143,9 +138,8 @@ class CountingPipeline:
                 event = CrossEvent(event.frame, event.track_id,
                                    event.direction.flipped())
             apply_event(self.counters, event)
-            new_events.append(event)
-        self.events.extend(new_events)
-        return new_events
+            self.events.append(event)
+        return keypoints
 
     def report(self, ground_truth: Optional[GroundTruth] = None) -> CountReport:
         return CountReport(self.counters, list(self.events), ground_truth,

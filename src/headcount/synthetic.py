@@ -151,7 +151,7 @@ def render_frame(spec: SceneSpec, index: int) -> Frame:
         disk = (xx - cx) ** 2 + (yy - cy) ** 2 <= actor.radius ** 2
         img[disk] = actor.intensity
     pixels = np.clip(img, 0, 255).astype(np.uint8)
-    return Frame(width=spec.width, height=spec.height, index=index, pixels=pixels)
+    return Frame(index, pixels)
 
 
 def render_scene(spec: SceneSpec) -> Iterator[Frame]:

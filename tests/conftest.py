@@ -11,7 +11,7 @@ def rng():
 
 def make_frame(pixels, index=0):
     arr = np.asarray(pixels, dtype=np.uint8)
-    return Frame(width=arr.shape[1], height=arr.shape[0], index=index, pixels=arr)
+    return Frame(index=index, pixels=arr)
 
 
 def uniform_frame(width, height, value, index=0):

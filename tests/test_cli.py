@@ -216,8 +216,11 @@ def test_count_empty_directory_is_io_error(tmp_path, capsys):
 
 
 def test_count_missing_input_is_io_error(tmp_path, capsys):
-    code, _, err = run_count(capsys, "--input", str(tmp_path / "nope"), *COUNT_FLAGS)
+    code, _, err = run_count(capsys, "--input", str(tmp_path / "nope"), *COUNT_FLAGS,
+                             "--annotate", str(tmp_path / "ann"))
     assert code == 1
+    assert "does not exist" in err
+    assert not (tmp_path / "ann").exists()
 
 
 def test_count_bad_line_order_is_config_error(tmp_path, capsys):
@@ -245,14 +248,16 @@ def test_count_negative_line_is_config_error(tmp_path, capsys, annotate):
 @pytest.mark.parametrize("lines", ["0,80", "40,119"])
 def test_count_edge_line_is_config_error(tmp_path, capsys, lines):
     # SCENE is 120 rows: a line on row 0 leaves zone A empty, one on row 119
-    # leaves zone B empty, and either way nothing could ever count
+    # leaves zone B empty, and either way nothing could ever count; the first
+    # frame shows it, before any debug frame is written
     out_dir = synth(tmp_path)
     capsys.readouterr()
     code, out, err = run_count(capsys, "--input", str(out_dir), "--lines", lines,
-                               "--warmup", "15")
+                               "--warmup", "15", "--annotate", str(tmp_path / "ann"))
     assert code == 2
     assert out == ""
     assert "line" in err
+    assert not (tmp_path / "ann").exists()
 
 
 def test_count_frame_of_another_size_names_the_frame(tmp_path, capsys):
@@ -471,10 +476,11 @@ def test_count_raw_geometry_must_be_positive(tmp_path, capsys, geometry):
     raw = tmp_path / "frames.raw"
     raw.write_bytes(bytes(160 * 120))
     code, out, err = run_count(capsys, "--input", str(raw), f"--raw={geometry}",
-                               *COUNT_FLAGS)
+                               "--annotate", str(tmp_path / "ann"), *COUNT_FLAGS)
     assert code == 2
     assert out == ""
     assert "geometry" in err
+    assert not (tmp_path / "ann").exists()
 
 
 def test_count_stdout_is_single_json_document(tmp_path, capsys):

@@ -8,7 +8,8 @@ not UTF-8, truncation), and then seeded random mixes of those mutations are
 run. Every ``count`` flag that takes a value gets fixed and seeded random bad
 text. Each run goes through ``cli.main`` in-process and must return 0, 1 or 2
 (argparse's own exit 2 included) without an exception escaping, and print
-nothing on stdout when it fails.
+nothing on stdout and under 1 KB on stderr when it fails: a rejected value is
+quoted in part, never echoed whole.
 
 Scenes stay at 64x64 pixels and 4 frames: a huge width, height or frame count
 that fits in 64 bits is a valid request for a scene too big to render here,
@@ -23,6 +24,7 @@ import random
 import pytest
 
 from headcount.cli import main
+from headcount.errors import quote
 from headcount.pipeline import PARAMS, PipelineConfig
 from headcount.counting import LinePair
 
@@ -122,13 +124,17 @@ class Cli:
         return str(path)
 
     def run(self, argv) -> int:
-        code = main(argv)
+        try:
+            code, first = main(argv), "error:"
+        except SystemExit as exc:  # argparse rejected a flag: usage, then the error
+            code, first = exc.code, "usage:"
         captured = self.capsys.readouterr()
         self.err = captured.err
         assert code in (0, 1, 2), (argv, code)
         if code:
             assert captured.out == "", argv
-            assert captured.err.startswith("error:"), argv
+            assert captured.err.startswith(first) and "error:" in captured.err, argv
+            assert len(captured.err.encode()) < 1024, argv
         return code
 
     def count(self, config: bytes, truth: bytes = None) -> int:
@@ -204,11 +210,11 @@ def test_corrupt_document_is_config_error(cli, kind, how):
     assert cli.run_doc(kind, corrupt_bytes(encode(bases()[kind]), how)) == 2
 
 
-@pytest.mark.parametrize("seed", [-5, -1, 0, 7, 2**63, 10**400],
-                         ids=["-5", "-1", "0", "7", "2**63", "10**400"])
+@pytest.mark.parametrize("seed", [-5, -1, 0, 7, 2**63, 10**400, "9" * 5000],
+                         ids=["-5", "-1", "0", "7", "2**63", "10**400", "9*5000"])
 def test_synth_seed_flag(cli, seed):
     code = cli.synth(encode(SCENE), seed)
-    assert code == (0 if 0 <= seed < 2**63 else 2)
+    assert code == (0 if seed in (0, 7) else 2)
 
 
 def test_random_mixes_of_mutations(cli):
@@ -332,7 +338,8 @@ BAD_FLAG_TEXT = [
     "true", "null", "[1, 2]", "\u00e9", "1,2", "20,40", "40,20", "0,10", "1,62",
     "10,50", ",", "1,2,3", "1.5,30", "9" * 5000 + ",1", "64x64", "32x128",
     "128x128", "16x16", "63x64", "8x8", "4096x4", "0x64", "-8x8", "64X128", "64x",
-    "x64", "64x64x1", "1e3x8", str(2**63) + "x1",
+    "x64", "64x64x1", "1e3x8", str(2**63) + "x1", "\uff11\uff10, +20 ", "\uff18x8",
+    "1_0,2_0", "20, 40", "+20,40", "\u00b2,40", "9" * 4000 + "x" + "9" * 4000,
 ]
 FLAG_ALPHABET = "0123456789-+.,xXeE_ nai"
 BOOL_FLAGS = [key for key, (_, _, kind, _) in PARAMS.items() if kind is bool]
@@ -347,15 +354,8 @@ def run_flags(cli, flags) -> int:
         source = cli.tmp / "frames.raw"
         source.write_bytes(b"".join(p.read_bytes()[-64 * 64:]
                                     for p in sorted(cli.frames.glob("*.pgm"))))
-    argv = ["count", "--input", str(source), "--lines", "20,40", "--warmup", "1",
-            "--min-area", "20", *flags]
-    try:
-        return cli.run(argv)
-    except SystemExit as exc:  # argparse rejected a flag: usage on stderr
-        captured = cli.capsys.readouterr()
-        assert exc.code == 2, argv
-        assert captured.out == "" and "error:" in captured.err, argv
-        return 2
+    return cli.run(["count", "--input", str(source), "--lines", "20,40", "--warmup", "1",
+                    "--min-area", "20", *flags])
 
 
 def flag_value(rng) -> str:
@@ -393,3 +393,28 @@ def test_random_mixes_of_flags(cli):
     for _ in range(150):
         keys = rng.sample(VALUED_FLAGS, rng.randint(1, 3))
         run_flags(cli, [f"--{key.replace('_', '-')}={flag_value(rng)}" for key in keys])
+
+
+# Flag values that were echoed whole, or accepted, before flag text was
+# parsed like PGM header fields (ASCII digits only for --lines and --raw) and
+# argparse errors quoted it; each must exit 2 and quote the value
+REPORTED_FLAGS = {
+    "count_min_area_5000_digits": ("count", ["--min-area", "9" * 5000]),
+    "count_lines_fullwidth_and_plus": ("count", ["--lines", "\uff11\uff10, +20 "]),
+    "count_raw_fullwidth": ("count", ["--raw", "\uff18x8"]),
+    "synth_seed_5000_digits": ("synth", ["--seed", "9" * 5000]),
+    "synth_lines_underscores": ("synth", ["--lines", "1_0,2_0"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTED_FLAGS))
+def test_reported_flag_value_is_rejected(cli, name):
+    command, flags = REPORTED_FLAGS[name]
+    if command == "count":
+        code = run_flags(cli, flags)
+    else:
+        code = cli.run(["synth", "--spec", cli.write("spec.json", encode(SCENE)),
+                        "--out", str(cli.tmp / "out"), *flags])
+        assert not (cli.tmp / "out").exists()
+    assert code == 2
+    assert quote(flags[1]) in cli.err

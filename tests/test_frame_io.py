@@ -202,10 +202,15 @@ def test_open_sequence_raw_geometry_must_be_positive(tmp_path, width, height):
 
 
 def test_frame_shape_validation():
+    # the pixels are the one record of the size: 2-D uint8 only
+    for pixels in (np.zeros(4, dtype=np.uint8), np.zeros((4, 5, 1), dtype=np.uint8),
+                   np.zeros((4, 5), dtype=np.int32)):
+        with pytest.raises(ValueError):
+            Frame(index=0, pixels=pixels)
     with pytest.raises(ValueError):
-        Frame(width=4, height=4, index=0, pixels=np.zeros((4, 5), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        Frame(width=4, height=4, index=0, pixels=np.zeros((4, 4), dtype=np.int32))
+        Frame(index=-1, pixels=np.zeros((4, 5), dtype=np.uint8))
+    frame = Frame(index=3, pixels=np.zeros((4, 5), dtype=np.uint8))
+    assert (frame.width, frame.height, frame.index) == (5, 4, 3)
 
 
 def test_annotate_lines_only(tmp_path):
@@ -223,8 +228,7 @@ def test_annotate_lines_only(tmp_path):
 def test_annotate_circle_matches_midpoint_oracle(tmp_path):
     from headcount import BlobKeypoint
     frame = uniform_frame(33, 33, 0)
-    kp = BlobKeypoint(centroid=(16.0, 16.0), diameter_s=4.0, circularity=1.0,
-                      convexity=1.0, inertia_ratio=1.0)
+    kp = BlobKeypoint(centroid=(16.0, 16.0), diameter_s=4.0)
     out = tmp_path / "ann.pgm"
     write_annotated(frame, [kp], LinePair(30, 31), out)
     img = load_frame(out).pixels
@@ -236,8 +240,7 @@ def test_annotate_circle_matches_midpoint_oracle(tmp_path):
 def test_annotate_centroid_out_of_bounds(tmp_path):
     from headcount import BlobKeypoint
     frame = uniform_frame(16, 16, 0)
-    kp = BlobKeypoint(centroid=(20.0, 8.0), diameter_s=4.0, circularity=1.0,
-                      convexity=1.0, inertia_ratio=1.0)
+    kp = BlobKeypoint(centroid=(20.0, 8.0), diameter_s=4.0)
     with pytest.raises(ValueError):
         write_annotated(frame, [kp], LinePair(4, 8), tmp_path / "ann.pgm")
 

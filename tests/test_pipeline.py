@@ -46,9 +46,8 @@ def test_warmup_produces_no_events_or_keypoints():
                               spawn_frame=2, despawn_frame=None, intensity=220)]
     pipeline = CountingPipeline(config())
     for frame in render_scene(scene):
-        events = pipeline.process_frame(frame)
-        assert events == []
-        assert pipeline.last_keypoints == []
+        assert pipeline.process_frame(frame) == []
+    assert pipeline.events == []
     assert pipeline.counters.total_count == 0
 
 
@@ -74,20 +73,25 @@ def test_pipeline_equals_manual_stage_composition():
     cfg = config()
     report = run(render_scene(scene), cfg)
 
+    # the replica runs beside a pipeline, which returns each frame's keypoints
+    pipeline = CountingPipeline(cfg)
     model = None
     tracker = Tracker(cfg.tracker)
     counters = Counters()
     events = []
     for frame in render_scene(scene):
+        returned = pipeline.process_frame(frame)
         if model is None:
             model = BackgroundModel(frame, cfg.alpha, cfg.threshold)
         else:
             model.update(frame)
         if frame.index < cfg.warmup:
+            assert returned == []
             continue
         mask = model.subtract(frame)
         mask = morph_open(mask, cfg.morph_radius)
         keypoints = detect_blobs(mask, cfg.blob, cfg.connectivity)
+        assert returned == keypoints
         tracker.step(keypoints, frame.index)
         for track in tracker.tracks:
             if track.last_frame != frame.index:
@@ -98,8 +102,8 @@ def test_pipeline_equals_manual_stage_composition():
                 apply_event(counters, event)
                 events.append(event)
 
-    assert counters == report.counters
-    assert events == report.events
+    assert counters == report.counters == pipeline.counters
+    assert events == report.events == pipeline.events
 
 
 def test_run_is_deterministic():

@@ -11,8 +11,7 @@ from oracles import greedy_match_bruteforce
 
 
 def kp(x, y):
-    return BlobKeypoint(centroid=(float(x), float(y)), diameter_s=10.0,
-                        circularity=1.0, convexity=1.0, inertia_ratio=1.0)
+    return BlobKeypoint(centroid=(float(x), float(y)), diameter_s=10.0)
 
 
 def track_at(tid, x, y, frame=0):
