@@ -5,14 +5,15 @@ Foreground is split into horizontal row runs. A vectorized overlap search
 with the runs it touches in the row above, and rounds of root hooking and
 pointer jumping merge those pairs into connected components, with no Python
 loop over runs. The run table (row, start column, exclusive end column and
-component of every run) is the labeling: no per-pixel label image is ever
-built. A frame's candidate components are measured together, in a fixed
-number of array passes over their runs alone: area, centroid and second
-moments from exact power sums, the boundary length from each run's overlap
-with its component in the row above, the convex hull from the outermost
-pixels of each row. Components are scored with the usual shape metrics
-(circularity, convexity, inertia ratio) and filtered to the round compact
-blobs a head produces. Coordinates are (x, y) with x the column and y the row.
+component of every run) and the touching pairs are the labeling: no
+per-pixel label image is ever built. A frame's candidate components are
+measured together, in a fixed number of array passes over their runs and
+pairs alone: area, centroid and second moments from exact power sums, the
+boundary length from the column overlaps of each touching pair, the convex
+hull from the outermost pixels of each row. Components are scored with the
+usual shape metrics (circularity, convexity, inertia ratio) and filtered to
+the round compact blobs a head produces. Coordinates are (x, y) with x the
+column and y the row.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .background import BinaryMask
 from .errors import ConfigError, DegenerateBlob, NotFound, quote
 
 _SQRT2 = math.sqrt(2.0)
-_SHIFTS = np.array([-1, 0, 1]).reshape(3, 1, 1)
+_SHIFTS = np.array([-1, 0, 1]).reshape(3, 1)
 
 
 @dataclass(eq=False)
@@ -37,8 +38,9 @@ class ComponentLabels:
     Run ``i`` covers row ``srow[i]``, columns ``scol[i]`` up to but excluding
     ``ecol[i]``, and belongs to component ``run_component[i]``. Runs are in
     raster order; components are numbered 1..count in the raster order of
-    their first run, so equal masks always give identical tables. The table
-    is the whole labeling: nothing per pixel and nothing derived is kept.
+    their first run, so equal masks always give identical tables. Pair k is
+    runs ``above[k]`` and ``below[k]`` (ascending in ``below``) of one component
+    in adjacent rows, touching under 8-connectivity. Nothing per pixel is kept.
     """
 
     width: int
@@ -48,6 +50,8 @@ class ComponentLabels:
     ecol: np.ndarray
     run_component: np.ndarray
     count: int
+    above: np.ndarray
+    below: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -104,15 +108,16 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabels
     """Label connected foreground regions.
 
     The mask is split into horizontal runs. A vectorized overlap search finds
-    every pair of runs in adjacent rows that touch under the given
-    connectivity: with each run keyed by ``row*(w+2) + column``, two binary
-    searches give the contiguous range of runs in the row above that a run
-    touches. The pairs are then resolved in rounds: the larger of each
-    disagreeing pair's roots is hooked under the smaller, and pointer jumping
-    flattens every tree, until both runs of every pair share a root. Each
-    root is then its component's lowest run index, so numbering the roots in
-    run order numbers components by the raster position of their first run.
-    Returns the run table; no per-pixel image is built.
+    every pair of runs in adjacent rows that touch under 8-connectivity: with
+    each run keyed by ``row*(w+2) + column``, two binary searches give the
+    contiguous range of runs in the row above that a run touches. The pairs
+    (at 4-connectivity, those that share a column) are resolved in rounds:
+    the larger of each disagreeing pair's roots is hooked under the smaller,
+    and pointer jumping flattens every tree, until both runs of every pair
+    share a root. Each root is then its component's lowest run index, so
+    numbering the roots in run order numbers components by the raster
+    position of their first run. Returns the run table and the pairs inside
+    components; no per-pixel image is built.
     """
     if connectivity not in (4, 8):
         raise ConfigError(f"connectivity must be 4 or 8, got {connectivity}")
@@ -134,23 +139,26 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabels
     ecol = ekey - row_start
     n_runs = len(srow)
 
-    # run i in the row above touches run j when scol[i] < ecol[j] + touch and
-    # scol[j] < ecol[i] + touch; a row's runs are sorted and disjoint, so the
-    # runs j touches are contiguous. A query column lies in [-1, w+1], so
-    # every query key stays inside the row above.
-    touch = 1 if connectivity == 8 else 0
-    first = np.searchsorted(ekey, skey - stride - touch, side="right")
-    stop = np.searchsorted(skey, ekey - stride + touch, side="left")
+    # run i in the row above touches run j when scol[i] <= ecol[j] and
+    # scol[j] <= ecol[i]; a row's runs are sorted and disjoint, so the runs j
+    # touches are contiguous. A query column lies in [-1, w+1], so every
+    # query key stays inside the row above.
+    first = np.searchsorted(ekey, skey - stride - 1, side="right")
+    stop = np.searchsorted(skey, ekey - stride + 1, side="left")
     n_above = np.maximum(stop - first, 0)
     below = np.repeat(np.arange(n_runs), n_above)
     offset = np.cumsum(n_above) - n_above
     above = np.arange(len(below)) - np.repeat(offset - first, n_above)
+    a, b = above, below
+    if connectivity == 4:  # only runs that share a column join
+        share = (scol[above] < ecol[below]) & (scol[below] < ecol[above])
+        a, b = above[share], below[share]
 
     # every pointer goes to a lower run index, so the root of each tree is its
     # lowest run; after the jumping every run points straight at its root
     root = np.arange(n_runs)
     while True:
-        ra, rb = root[above], root[below]
+        ra, rb = root[a], root[b]
         split = ra != rb
         if not split.any():
             break
@@ -161,11 +169,14 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabels
             if np.array_equal(up, root):
                 break
             root = up
-        above, below = above[split], below[split]
+        a, b = a[split], b[split]
+    if connectivity == 4:  # drop corner contacts between two components
+        above, below = np.compress(root[above] == root[below], (above, below), axis=1)
 
     is_root = root == np.arange(n_runs)
     run_component = np.cumsum(is_root, dtype=np.int32)[root]
-    return ComponentLabels(w, h, srow, scol, ecol, run_component, int(is_root.sum()))
+    return ComponentLabels(w, h, srow, scol, ecol, run_component, int(is_root.sum()),
+                           above, below)
 
 
 def _hull_pixel_count(lefts: list[int], rights: list[int]) -> int:
@@ -211,7 +222,7 @@ def _power_sums(yse: np.ndarray, first: np.ndarray) -> list[list]:
 
 
 def measure(labels: ComponentLabels, component_ids) -> list[BlobMeasurements]:
-    """Measure the given components together, in one pass over their runs.
+    """Measure the given components together, in one pass over runs and pairs.
 
     ``component_ids`` must be ascending and distinct, each in 1..count, as
     ``detect_blobs`` passes them; returns one BlobMeasurements per id, in
@@ -241,26 +252,21 @@ def measure(labels: ComponentLabels, component_ids) -> list[BlobMeasurements]:
             for ws, fs in zip(_power_sums(yse.view(np.uint64), first),
                               _power_sums(yse.astype(np.float64), first))]
 
-    # runs keyed row*(w+2) + column as in labeling, component c's rows from
-    # c*(h+1) so that no two components have runs in adjacent rows; after a
-    # sentinel column, table rows: start key, end key, pixels up to the run
-    stride = labels.width + 2
-    row = np.multiply(comp, labels.height + 1, dtype=np.int64) + y
-    table = np.empty((3, len(runs) + 1), dtype=np.int64)
-    table[:, 0] = (-1, -1, 0)
-    np.add((row * stride)[None], yse[1:], out=table[:2, 1:])
-    np.cumsum(e - s, out=table[2, 1:])
-    # each run's overlap with its component in the row above at column
-    # shifts -1, 0 and +1: the pixels before its shifted end less start key
-    keys = table[:2, 1:] + (_SHIFTS - stride)
-    last = np.searchsorted(table[0], keys) - 1
-    before = table[2, last] - np.maximum(table[1, last] - keys, 0)
-    overlaps = np.add.reduceat(before[:, 1] - before[:, 0], first, axis=1).T.tolist()
+    # each run's overlap with its component's runs in the row above, with the
+    # run shifted by -1, 0 and +1 columns, summed per id: labeling's touching
+    # pairs hold every run a shift of at most one column can overlap
+    pair = np.take(wanted, labels.run_component[labels.below])
+    above, below = labels.above[pair], labels.below[pair]
+    slot = np.searchsorted(comp_ids, labels.run_component[below])
+    scol, ecol = labels.scol, labels.ecol
+    overlap = np.maximum(np.minimum(ecol[above], ecol[below] + _SHIFTS)
+                         - np.maximum(scol[above], scol[below] + _SHIFTS), 0)
+    overlaps = np.int64([np.bincount(slot, o, len(ids)) for o in overlap]).T.tolist()
 
     # each row's outermost pixels, one slice per component
     head = np.empty(len(runs), dtype=bool)
-    head[0] = True
-    np.not_equal(row[1:], row[:-1], out=head[1:])
+    np.not_equal(y[1:], y[:-1], out=head[1:])
+    head[first] = True
     heads = np.flatnonzero(head)
     lefts = s[heads].tolist()
     rights = (np.maximum.reduceat(e, heads) - 1).tolist()

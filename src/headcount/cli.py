@@ -169,9 +169,15 @@ def cmd_eval(args) -> int:
 
 
 def _flag_type(kind: type):
-    """``kind`` as an argparse type whose error quotes the rejected text in part."""
+    """``kind`` as an argparse type whose error quotes the rejected text in part.
+    An int is an optional ``-`` then ASCII digits, a float ASCII text without
+    ``_`` or whitespace: ``int()`` and ``float()`` alone take " +1_0" too."""
     def parse(text: str):
         try:
+            if kind is int:
+                return -digits(text[1:]) if text.startswith("-") else digits(text)
+            if not text.isascii() or "_" in text or text.split() != [text]:
+                raise ValueError(text)
             return kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {quote(text)}")

@@ -96,10 +96,6 @@ class CountReport:
                                   getattr(self.ground_truth, true_count))
                 for key, (count, true_count) in _ACCURACIES.items()}
 
-    in_accuracy = property(lambda self: self.accuracies().get("in_accuracy"))
-    out_accuracy = property(lambda self: self.accuracies().get("out_accuracy"))
-    tc_accuracy = property(lambda self: self.accuracies().get("tc_accuracy"))
-
     def to_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
             "in": self.counters.in_count,
@@ -131,10 +127,6 @@ class CountReport:
             raise ConfigError(f"stored accuracies differ from the derived "
                               f"{report.accuracies()}")
         return report
-
-    @classmethod
-    def from_json(cls, text: str) -> "CountReport":
-        return cls.from_dict(json.loads(text))
 
 
 def _event(doc) -> CrossEvent:

@@ -85,9 +85,8 @@ def test_criterion_02_end_to_end_sixteen_crossers():
         assert report.counters.in_count == 8
         assert report.counters.out_count == 8
         assert report.counters.total_count == 16
-        assert round(report.in_accuracy, 2) == 100.00
-        assert round(report.out_accuracy, 2) == 100.00
-        assert round(report.tc_accuracy, 2) == 100.00
+        assert {key: round(pct, 2) for key, pct in report.accuracies().items()} == {
+            "in_accuracy": 100.00, "out_accuracy": 100.00, "tc_accuracy": 100.00}
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
 
 

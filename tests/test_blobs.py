@@ -417,12 +417,26 @@ def test_measure_is_exact_on_a_frame_two_to_the_21_wide():
 
 def test_label_image_is_painted_from_runs_on_demand(rng):
     # the runs of cid are exactly the pixels the oracle painter gives cid, in
-    # raster order, and the labeling keeps no state besides its run table
+    # raster order; the touching pairs are exactly the pairs of runs holding
+    # two pixels of one component in adjacent rows at most one column apart,
+    # ordered by the lower run; and the labeling keeps nothing else
     for _ in range(20):
         bits = rng.random((24, 40)) < rng.uniform(0.1, 0.9)
+        h, w = bits.shape
         for conn in (4, 8):
             labels = label_components(mask_of(bits), conn)
             image = label_image(labels)
+            run_of = np.full(bits.shape, -1)
+            for i, (y, s, e) in enumerate(zip(labels.srow.tolist(), labels.scol.tolist(),
+                                              labels.ecol.tolist())):
+                run_of[y, s:e] = i
+            touching = {(run_of[y, x], run_of[y + 1, x + d])
+                        for y in range(h - 1) for x in range(w) for d in (-1, 0, 1)
+                        if 0 <= x + d < w and image[y, x]
+                        and image[y, x] == image[y + 1, x + d]}
+            pairs = list(zip(labels.above.tolist(), labels.below.tolist()))
+            assert len(pairs) == len(touching) and set(pairs) == touching
+            assert (np.diff(labels.below) >= 0).all()
             for cid in range(1, labels.count + 1):
                 idx = np.flatnonzero(labels.run_component == cid)
                 rows, starts, ends = labels.srow[idx], labels.scol[idx], labels.ecol[idx]
@@ -433,7 +447,7 @@ def test_label_image_is_painted_from_runs_on_demand(rng):
                 keys = rows * labels.width + starts
                 assert (np.diff(keys) > 0).all()
             assert set(vars(labels)) == {"width", "height", "srow", "scol", "ecol",
-                                         "run_component", "count"}
+                                         "run_component", "count", "above", "below"}
 
 
 # ------------------------------------------------------------ shape metrics

@@ -396,14 +396,21 @@ def test_random_mixes_of_flags(cli):
 
 
 # Flag values that were echoed whole, or accepted, before flag text was
-# parsed like PGM header fields (ASCII digits only for --lines and --raw) and
-# argparse errors quoted it; each must exit 2 and quote the value
+# parsed like PGM header fields (ASCII digits, after an optional "-" for the
+# integer flags; ASCII floats without "_" or whitespace) and argparse errors
+# quoted it; each must exit 2 and quote the value
 REPORTED_FLAGS = {
     "count_min_area_5000_digits": ("count", ["--min-area", "9" * 5000]),
     "count_lines_fullwidth_and_plus": ("count", ["--lines", "\uff11\uff10, +20 "]),
     "count_raw_fullwidth": ("count", ["--raw", "\uff18x8"]),
     "synth_seed_5000_digits": ("synth", ["--seed", "9" * 5000]),
     "synth_lines_underscores": ("synth", ["--lines", "1_0,2_0"]),
+    "count_warmup_fullwidth_underscore": ("count", ["--warmup", "\uff11_5"]),
+    "count_min_area_plus_underscore_spaces": ("count", ["--min-area", " +8_0"]),
+    "count_alpha_fullwidth": ("count", ["--alpha", "\uff10.\uff10\uff12"]),
+    "count_threshold_underscore": ("count", ["--threshold", "2_5"]),
+    "count_min_circularity_spaces": ("count", ["--min-circularity", " 0.5 "]),
+    "synth_seed_plus": ("synth", ["--seed", "+3"]),
 }
 
 

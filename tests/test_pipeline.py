@@ -56,7 +56,7 @@ def test_single_crosser_counts_one_in():
     truth, _ = ground_truth_events(scene, LINES)
     report = run(render_scene(scene), config(), truth)
     assert (report.counters.in_count, report.counters.out_count) == (1, 0)
-    assert report.in_accuracy == 100.0
+    assert report.accuracies()["in_accuracy"] == 100.0
     assert len(report.events) == 1
     assert report.events[0].direction is Direction.IN
 
@@ -142,7 +142,7 @@ def test_separation_violations_degrade_gracefully():
     truth, _ = ground_truth_events(scene, LINES)
     report = run(render_scene(scene), config(), truth)
     assert report.counters.total_count == report.counters.in_count + report.counters.out_count
-    assert report.tc_accuracy is not None  # report still builds
+    assert "tc_accuracy" in report.accuracies()  # report still builds
 
 
 def test_heavy_bidirectional_load_with_violations():
@@ -180,7 +180,7 @@ def test_heavy_bidirectional_load_with_violations():
     c = report.counters
     assert c.total_count == c.in_count + c.out_count
     assert 0 <= c.in_count and 0 <= c.out_count
-    assert report.tc_accuracy is not None
+    assert "tc_accuracy" in report.accuracies()
     assert [e.frame for e in report.events] == sorted(e.frame for e in report.events)
 
 
