@@ -16,7 +16,8 @@ from pathlib import Path
 from .blobs import BlobFilterParams
 from .counting import LinePair
 from .errors import (ConfigError, EmptySequence, HeadcountError, ParseError,
-                     TruncatedStream, UnsupportedFormat, digits, json_integer, quote)
+                     TruncatedStream, UnsupportedFormat, digits, json_object, json_value,
+                     quote)
 from .frame_io import SequenceSpec, open_sequence, write_annotated
 from .metrics import CountReport, GroundTruth
 from .pipeline import PARAMS, CountingPipeline, PipelineConfig
@@ -59,39 +60,19 @@ def _load_json(path, from_dict=dict):
             doc = json.load(fh)
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ConfigError(f"{path}: not a UTF-8 JSON document: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
     try:
-        return from_dict(doc)
+        return from_dict(json_value("document", doc, dict))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-_JSON_TYPES = {bool: "boolean", int: "integer", float: "number"}
 _SECTIONS = {None: PipelineConfig, "blob": BlobFilterParams, "tracker": TrackerConfig}
-
-
-def _typed(key: str, value, kind: type, nullable: bool = False):
-    """value if it has the JSON type ``kind``: booleans are never numbers, an
-    integer is accepted where a number is asked for, and null only where
-    ``nullable``. Integers must fit in 64 bits."""
-    if value is None and nullable:
-        return None
-    if type(value) is int:
-        value = json_integer(key, value)
-        if kind is float:
-            value = float(value)
-    if type(value) is not kind:
-        raise ConfigError(f"{key} must be a JSON {_JSON_TYPES[kind]}, got {quote(value)}")
-    return value
 
 
 def _build_config(args) -> PipelineConfig:
     """The --config document, overlaid with every flag given, as a config."""
-    settings = _load_json(args.config) if args.config else {}
-    unknown = set(settings) - set(PARAMS) - {"lines"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    settings = json_object("config", _load_json(args.config) if args.config else {},
+                           ("lines", *PARAMS))
     for key in ("lines", *PARAMS):
         if getattr(args, key) is not None:
             settings[key] = getattr(args, key)
@@ -101,8 +82,8 @@ def _build_config(args) -> PipelineConfig:
     for key, (section, name, kind, _) in PARAMS.items():
         if key in settings:
             default = _SECTIONS[section].__dataclass_fields__[name].default
-            kwargs[section][name] = _typed(key, settings[key], kind,
-                                           nullable=default is None)
+            kwargs[section][name] = json_value(key, settings[key], kind,
+                                               nullable=default is None)
     return PipelineConfig(lines=_parse_lines(settings["lines"]),
                           blob=BlobFilterParams(**kwargs["blob"]),
                           tracker=TrackerConfig(**kwargs["tracker"]), **kwargs[None])

@@ -1,5 +1,6 @@
-"""Exception types raised across the counting pipeline, the JSON and text
-integer rules, and the bounded quoting of rejected values in error messages."""
+"""Exception types raised across the counting pipeline, the JSON field and
+text integer rules, and the bounded quoting of rejected values in error
+messages."""
 
 
 class HeadcountError(Exception):
@@ -60,12 +61,30 @@ def quote(value) -> str:
     return f"{value[:20]!r}... ({len(value)} {unit})"
 
 
-def json_integer(name: str, value) -> int:
-    """``value`` if it is a JSON integer: an ``int``, never a ``bool``, that
-    fits in 64 bits. ConfigError naming ``name`` otherwise."""
-    if type(value) is int and -2**63 <= value < 2**63:
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", list: "array",
+               dict: "object"}
+
+
+def json_value(key: str, value, kind: type, nullable: bool = False):
+    """``value`` if it has the JSON type ``kind``: a boolean is never a number,
+    an integer is a number too (as a float) and must fit in 64 bits, and null
+    passes only where ``nullable``. ConfigError naming ``key`` otherwise."""
+    if type(value) is int and kind in (int, float):
+        if -2**63 <= value < 2**63:
+            return kind(value)
+        raise ConfigError(f"{key} must be a 64-bit integer, got {quote(value)}")
+    if type(value) is kind or (value is None and nullable):
         return value
-    raise ConfigError(f"{name} must be a 64-bit integer, got {quote(value)}")
+    raise ConfigError(f"{key} must be a JSON {_JSON_TYPES[kind]}, got {quote(value)}")
+
+
+def json_object(owner: str, doc, keys) -> dict:
+    """``doc`` if it is a JSON object with no key outside ``keys``, so that
+    a misspelled key is not dropped unread. ConfigError naming ``owner``."""
+    unknown = set(json_value(owner, doc, dict)) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {owner} keys: {quote(sorted(unknown))}")
+    return doc
 
 
 def digits(text) -> int:

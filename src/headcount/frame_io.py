@@ -57,8 +57,8 @@ class SequenceSpec:
     """Where a frame sequence lives and how to read it.
 
     ``source`` is either a directory of ``.pgm`` files (frame order = file
-    names in natural order, see ``open_sequence``) or a raw file of
-    concatenated frames, in which case ``width`` and ``height`` are required.
+    names in natural order, see ``open_sequence``), which takes no ``width``
+    or ``height``, or a raw file of concatenated frames, which needs both.
     Nothing in the pipeline is time-based, so a sequence has no frame rate.
     """
 
@@ -155,6 +155,8 @@ def open_sequence(spec: SequenceSpec) -> Iterator[Frame]:
     if not src.exists():
         raise FileNotFoundError(f"sequence source {src} does not exist")
     if src.is_dir():
+        if (spec.width, spec.height) != (None, None):
+            raise ConfigError(f"{src} is a directory of frames, which takes no geometry")
         paths = sorted((p for p in src.iterdir() if p.suffix.lower() == ".pgm"),
                        key=_natural_key)
         if not paths:

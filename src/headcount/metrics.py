@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
 from .counting import Counters, CrossEvent, Direction
-from .errors import ConfigError, UndefinedAccuracy, json_integer
+from .errors import ConfigError, UndefinedAccuracy, json_value
 
 # report key of each accuracy -> (its Counters field, its GroundTruth field)
 _ACCURACIES = {"in_accuracy": ("in_count", "true_in"),
@@ -23,7 +23,7 @@ def _counts(doc: dict[str, Any], keys: tuple[str, str, str]) -> list[int]:
     missing = [key for key in keys if key not in doc]
     if missing:
         raise ConfigError(f"missing keys {missing}")
-    n_in, n_out, total = (json_integer(key, doc[key]) for key in keys)
+    n_in, n_out, total = (json_value(key, doc[key], int) for key in keys)
     if min(n_in, n_out) < 0 or total != n_in + n_out:
         raise ConfigError(f"counts must be >= 0 with {keys[2]} == {keys[0]} + "
                           f"{keys[1]}, got {dict(zip(keys, (n_in, n_out, total)))}")
@@ -117,9 +117,8 @@ class CountReport:
         consistent JSON integer and every stored accuracy the derived one.
         ``events`` and ``params`` may be absent."""
         n_in, n_out, _ = _counts(doc, ("in", "out", "total"))
-        events, params = doc.get("events", []), doc.get("params", {})
-        if not isinstance(events, list) or not isinstance(params, dict):
-            raise ConfigError("events must be a list and params an object")
+        events = json_value("events", doc.get("events", []), list)
+        params = json_value("params", doc.get("params", {}), dict)
         has_truth = any(key in doc for key in (*GroundTruth.KEYS, *_ACCURACIES))
         report = cls(Counters(n_in, n_out), [_event(e) for e in events],
                      GroundTruth.from_dict(doc) if has_truth else None, params)
@@ -132,6 +131,6 @@ class CountReport:
 def _event(doc) -> CrossEvent:
     if not isinstance(doc, dict) or doc.get("direction") not in ("IN", "OUT"):
         raise ConfigError("each event must be an object with direction IN or OUT")
-    return CrossEvent(json_integer("event frame", doc.get("frame")),
-                      json_integer("event track_id", doc.get("track_id")),
+    return CrossEvent(json_value("event frame", doc.get("frame"), int),
+                      json_value("event track_id", doc.get("track_id"), int),
                       Direction(doc["direction"]))

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Iterator, Optional
 
 import numpy as np
 
-from .counting import LinePair, LineZoneState, advance
-from .errors import ConfigError, json_integer, quote
+from .counting import Counters, CrossEvent, LinePair, LineZoneState, advance, apply_event
+from .errors import ConfigError, json_object, json_value, quote
 from .frame_io import Frame
 from .metrics import GroundTruth
 
@@ -94,24 +94,17 @@ class SceneSpec:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "SceneSpec":
-        # every scene field but the actors is an integer, and so is every
-        # actor field but its start and velocity; a JSON 2.5 or true would
-        # otherwise reach range() or be truncated into the pixel array
-        scalars = _integers("scene", doc, ("width", "height", "frames",
-                                           "background_intensity",
-                                           "noise_amplitude", "seed"))
+        """The spec in ``doc``, read like a config file: an unknown scene or
+        actor key is an error, and every field but the actors and an actor's
+        start and velocity is a JSON integer; a JSON 2.5 or true would
+        otherwise reach range() or be truncated into the pixel array."""
+        scene = _json_fields("scene", doc, cls, ("actors",))
         try:
-            actors = [
-                ActorSpec(
-                    start=a["start"],
-                    velocity=a["velocity"],
-                    **_integers("actor", a, ("radius", "spawn_frame",
-                                             "despawn_frame", "intensity")),
-                )
-                for a in doc.get("actors", [])
-            ]
-            return cls(**scalars, actors=actors)
-        except (KeyError, TypeError) as exc:
+            actors = [ActorSpec(**_json_fields("actor", actor, ActorSpec,
+                                               ("start", "velocity")))
+                      for actor in json_value("scene actors", scene.pop("actors", []), list)]
+            return cls(**scene, actors=actors)
+        except TypeError as exc:  # a required field is missing
             raise ConfigError(f"invalid scene spec: {exc}") from exc
 
 
@@ -125,14 +118,14 @@ def _finite_pair(name: str, value) -> tuple[float, float]:
     raise ConfigError(f"actor {name} must be two finite numbers, got {quote(value)}")
 
 
-def _integers(owner: str, doc: dict[str, Any], names: tuple) -> dict[str, int]:
-    """The fields of ``doc`` among ``names``, each a JSON integer (a null
-    despawn_frame stays null)."""
-    fields = {name: doc[name] for name in names if name in doc}
-    for name, value in fields.items():
-        if not (name == "despawn_frame" and value is None):
-            json_integer(f"{owner} {name}", value)
-    return fields
+def _json_fields(owner: str, doc, cls, untyped: tuple) -> dict[str, Any]:
+    """``doc`` as keyword arguments of the dataclass ``cls``: every key one of
+    its fields, and each field but ``untyped`` a JSON integer, or null where
+    its default is None."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return {key: value if key in untyped
+            else json_value(f"{owner} {key}", value, int, nullable=defaults[key] is None)
+            for key, value in json_object(owner, doc, defaults).items()}
 
 
 def render_frame(spec: SceneSpec, index: int) -> Frame:
@@ -163,24 +156,25 @@ def render_scene(spec: SceneSpec) -> Iterator[Frame]:
 
 
 def ground_truth_events(spec: SceneSpec,
-                        lines: LinePair) -> tuple[GroundTruth, list[tuple[int, str]]]:
+                        lines: LinePair) -> tuple[GroundTruth, list[CrossEvent]]:
     """Exact crossing truth: each actor's analytic disk centers, frame by
-    frame, fed to ``counting.advance`` from a fresh traversal state.
+    frame, fed to ``counting.advance`` from a fresh traversal state, and the
+    CrossEvents it returns tallied with ``apply_event``, as in the pipeline.
 
-    Returns the aggregate GroundTruth plus the per-event (frame, direction)
-    list, frame-ordered. Event frames refer to the analytic trajectory; a
-    pipeline run on the rendered scene should agree on the counts, not
-    necessarily on the exact frames.
+    Returns the GroundTruth and those events, each with ``track_id`` the
+    actor's index in ``spec.actors``, ordered by frame and then that index.
+    Event frames refer to the analytic trajectory; a pipeline run on the
+    rendered scene should agree on the counts, not necessarily on the frames.
     """
-    all_events: list[tuple[int, str]] = []
-    for actor in spec.actors:
+    events: list[CrossEvent] = []
+    counters = Counters()
+    for index, actor in enumerate(spec.actors):
         state = LineZoneState()
         last = min(actor.despawn_frame or spec.frames, spec.frames)
         for f in range(actor.spawn_frame, last):
-            event = advance(state, actor.position_at(f), lines, f, 0)
+            event = advance(state, actor.position_at(f), lines, f, index)
             if event is not None:
-                all_events.append((f, event.direction.value))
-    all_events.sort()
-    true_in = sum(1 for _, d in all_events if d == "IN")
-    true_out = len(all_events) - true_in
-    return GroundTruth(true_in, true_out, true_in + true_out), all_events
+                apply_event(counters, event)
+                events.append(event)
+    events.sort(key=lambda event: (event.frame, event.track_id))
+    return GroundTruth(counters.in_count, counters.out_count, counters.total_count), events

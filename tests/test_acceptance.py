@@ -102,8 +102,8 @@ def test_criterion_03_simultaneous_crossing():
                           background_intensity=50, noise_amplitude=5, seed=3,
                           actors=actors)
         truth, expected = ground_truth_events(scene, LINES)
-        assert [d for _, d in expected] == ["IN", "OUT"]
-        assert expected[0][0] == expected[1][0]  # same analytic frame
+        assert [e.direction.value for e in expected] == ["IN", "OUT"]
+        assert expected[0].frame == expected[1].frame  # same analytic frame
         report = run(render_scene(scene), PipelineConfig(lines=LINES), truth)
         assert len(report.events) == 2
         assert {e.direction.value for e in report.events} == {"IN", "OUT"}

@@ -483,6 +483,20 @@ def test_count_raw_geometry_must_be_positive(tmp_path, capsys, geometry):
     assert not (tmp_path / "ann").exists()
 
 
+@pytest.mark.parametrize("geometry", ["0x0", "7x7", "160x120"])
+def test_count_raw_geometry_with_directory_input(tmp_path, capsys, geometry):
+    # a directory holds PGM frames, which carry their own geometry; --raw
+    # there was ignored, even when it matched the frames
+    out_dir = synth(tmp_path)
+    capsys.readouterr()
+    code, out, err = run_count(capsys, "--input", str(out_dir), f"--raw={geometry}",
+                               "--annotate", str(tmp_path / "ann"), *COUNT_FLAGS)
+    assert code == 2
+    assert out == ""
+    assert "geometry" in err
+    assert not (tmp_path / "ann").exists()
+
+
 def test_count_stdout_is_single_json_document(tmp_path, capsys):
     out_dir = synth(tmp_path)
     capsys.readouterr()

@@ -276,6 +276,26 @@ def test_reported_input_is_config_error(cli, name):
     assert cli.run_doc(kind, data()) == 2
 
 
+# A key no document level defines, at each object level of the config, scene
+# and actor documents, and an actors object in place of the array: each was
+# dropped unread before scene specs were read like config files, and must now
+# exit 2 and write nothing
+UNKNOWN_KEYS = {
+    "config": ("config", ("threshhold",), 40),
+    "scene": ("spec", ("noise_amplitud",), 30),
+    "actor": ("spec", ("actors", 0, "despawn"), 10),
+    "actors_object": ("spec", ("actors",), {}),
+}
+
+
+@pytest.mark.parametrize("level", sorted(UNKNOWN_KEYS))
+def test_unknown_key_is_config_error(cli, level):
+    kind, path, value = UNKNOWN_KEYS[level]
+    assert cli.run_doc(kind, encode(mutated(bases()[kind], path, value))) == 2
+    assert path[-1] in cli.err
+    assert not (cli.tmp / "out").exists()
+
+
 def test_synth_negative_seed_flag_writes_nothing(cli):
     assert cli.synth(encode(SCENE), -5) == 2
     assert not (cli.tmp / "out").exists()

@@ -157,6 +157,13 @@ def test_open_sequence_empty_directory(tmp_path):
         list(open_sequence(SequenceSpec(source=tmp_path)))
 
 
+@pytest.mark.parametrize("width,height", [(8, 8), (8, None), (None, 8), (0, 0)])
+def test_open_sequence_directory_takes_no_geometry(tmp_path, width, height):
+    write_frame(uniform_frame(8, 8, 10), tmp_path / "0001.pgm")
+    with pytest.raises(ConfigError):
+        list(open_sequence(SequenceSpec(source=tmp_path, width=width, height=height)))
+
+
 def test_open_sequence_raw(tmp_path, rng):
     data = rng.integers(0, 256, size=3 * 64 * 48, dtype=np.uint8)
     path = tmp_path / "frames.raw"

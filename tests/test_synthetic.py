@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,7 @@ def test_ground_truth_single_down_crosser():
     truth, events = ground_truth_events(scene([crosser(60.0)]), LINES)
     assert (truth.true_in, truth.true_out, truth.true_total) == (1, 0, 1)
     assert len(events) == 1
-    assert events[0][1] == "IN"
+    assert events[0].direction.value == "IN"
 
 
 def test_ground_truth_eight_down_eight_up():
@@ -151,7 +153,9 @@ def test_ground_truth_agrees_with_counting_semantics(rng):
     # string, built here from its exact centers over the frames it lives, by
     # substring search. Actors start on a line, between the lines or anywhere,
     # some spawn at or after the scene end, and three actors' events must
-    # come out merged in frame order
+    # come out merged in frame order, with each event's track_id the actor's
+    # index. A mirrored pair crosses on the same frames both ways, so ties
+    # must come out in index order, not direction order
     for trial in range(200):
         frames = int(rng.integers(2, 60))
         actors, expected = [], []
@@ -162,14 +166,20 @@ def test_ground_truth_agrees_with_counting_semantics(rng):
             actor = ActorSpec(radius=5, start=(30.0, y0),
                               velocity=(0.0, float(rng.uniform(-20, 20))),
                               spawn_frame=spawn, despawn_frame=despawn, intensity=220)
+            if trial % 4 == 1 and k == 1:
+                # actor 0 mirrored about row 60, midway between the lines:
+                # it crosses on actor 0's frames, the other way
+                actor = replace(actors[0], start=(90.0, 120.0 - actors[0].start[1]),
+                                velocity=(0.0, -actors[0].velocity[1]))
             actors.append(actor)
+            spawn, despawn = actor.spawn_frame, actor.despawn_frame
             last = frames if despawn is None else min(despawn, frames)
             zones = zone_string(actor, LINES, spawn, last)
-            expected += [(spawn + i, d) for i, d in scan_zone_events(zones)]
+            expected += [(spawn + i, k, d) for i, d in scan_zone_events(zones)]
         truth, events = ground_truth_events(scene(actors, frames=frames), LINES)
-        assert events == sorted(expected)
-        assert truth.true_in == sum(1 for _, d in expected if d == "IN")
-        assert truth.true_out == sum(1 for _, d in expected if d == "OUT")
+        assert [(e.frame, e.track_id, e.direction.value) for e in events] == sorted(expected)
+        assert truth.true_in == sum(1 for _, _, d in expected if d == "IN")
+        assert truth.true_out == sum(1 for _, _, d in expected if d == "OUT")
 
 
 def test_static_disk_absorbed_into_background():
