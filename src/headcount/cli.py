@@ -13,36 +13,24 @@ import json
 import sys
 from pathlib import Path
 
-from .blobs import BlobFilterParams
 from .counting import LinePair
 from .errors import (ConfigError, EmptySequence, HeadcountError, ParseError,
-                     TruncatedStream, UnsupportedFormat, digits, json_object, json_value,
-                     quote)
+                     TruncatedStream, UnsupportedFormat, digits, json_value, quote)
 from .frame_io import SequenceSpec, open_sequence, write_annotated
 from .metrics import CountReport, GroundTruth
 from .pipeline import PARAMS, CountingPipeline, PipelineConfig
 from .synthetic import SceneSpec, ground_truth_events, render_scene
-from .tracking import TrackerConfig
 from . import frame_io
 
 _IO_ERRORS = (OSError, ParseError, UnsupportedFormat, EmptySequence, TruncatedStream)
 
 
-def _parse_lines(text) -> LinePair:
-    if isinstance(text, (list, tuple)):
-        # a JSON list must hold integers; int() would truncate 40.5 to 40
-        parts = list(text)
-        if not all(type(p) is int for p in parts):
-            raise ConfigError(f"lines must be two integers, got {quote(text)}")
-    else:
-        parts = str(text).split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"lines must be Y1,Y2 with Y1 < Y2, got {quote(text)}")
+def _lines_flag(text: str) -> list[int]:
+    """The --lines text Y1,Y2 as the JSON array that LinePair.from_json reads."""
     try:
-        y1, y2 = (p if type(p) is int else digits(p) for p in parts)
+        return [digits(y) for y in text.split(",")]
     except ValueError:
-        raise ConfigError(f"lines must be two integers, got {quote(text)}") from None
-    return LinePair(y1, y2)
+        raise ConfigError(f"lines must be Y1,Y2, got {quote(text)}") from None
 
 
 def _parse_geometry(text: str) -> tuple[int, int]:
@@ -66,27 +54,14 @@ def _load_json(path, from_dict=dict):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-_SECTIONS = {None: PipelineConfig, "blob": BlobFilterParams, "tracker": TrackerConfig}
-
-
 def _build_config(args) -> PipelineConfig:
     """The --config document, overlaid with every flag given, as a config."""
-    settings = json_object("config", _load_json(args.config) if args.config else {},
-                           ("lines", *PARAMS))
-    for key in ("lines", *PARAMS):
-        if getattr(args, key) is not None:
-            settings[key] = getattr(args, key)
-    if settings.get("lines") is None:
-        raise ConfigError("counting lines are required (--lines Y1,Y2)")
-    kwargs: dict = {section: {} for section in _SECTIONS}
-    for key, (section, name, kind, _) in PARAMS.items():
-        if key in settings:
-            default = _SECTIONS[section].__dataclass_fields__[name].default
-            kwargs[section][name] = json_value(key, settings[key], kind,
-                                               nullable=default is None)
-    return PipelineConfig(lines=_parse_lines(settings["lines"]),
-                          blob=BlobFilterParams(**kwargs["blob"]),
-                          tracker=TrackerConfig(**kwargs["tracker"]), **kwargs[None])
+    params = _load_json(args.config) if args.config else {}
+    params.update({key: getattr(args, key) for key in PARAMS
+                   if getattr(args, key) is not None})
+    if args.lines is not None:
+        params["lines"] = _lines_flag(args.lines)
+    return PipelineConfig.from_params(params)
 
 
 def cmd_count(args) -> int:
@@ -117,11 +92,11 @@ def cmd_synth(args) -> int:
         doc["seed"] = args.seed
     scene = SceneSpec.from_dict(doc)
 
-    lines = args.lines if args.lines is not None else lines_doc
+    lines = _lines_flag(args.lines) if args.lines is not None else lines_doc
     if lines is None:
         raise ConfigError("counting lines are required to compute ground truth "
                           "(--lines or a \"lines\" entry in the scene spec)")
-    lines = _parse_lines(lines)
+    lines = LinePair.from_json(lines)
     lines.check_fits(scene.height)
 
     frames = render_scene(scene)
@@ -141,7 +116,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    report = _load_json(args.report, CountReport.from_dict)
+    def read_report(doc) -> CountReport:  # its params, if any, as count writes them
+        report = CountReport.from_dict(doc)
+        if report.params:
+            PipelineConfig.from_params(report.params)
+        return report
+    report = _load_json(args.report, read_report)
     truth = _load_json(args.truth, GroundTruth.from_dict)
     accuracies = CountReport(report.counters, ground_truth=truth).accuracies()
     print(json.dumps({key: round(value, 2) for key, value in accuracies.items()},

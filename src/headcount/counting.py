@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, json_value, quote
 
 
 class Zone(str, enum.Enum):
@@ -49,6 +49,15 @@ class LinePair:
                 f"line_in_y ({self.line_in_y}) must be above "
                 f"line_out_y ({self.line_out_y})"
             )
+
+    @classmethod
+    def from_json(cls, value) -> "LinePair":
+        """The pair in a JSON array of two integers, as a config, a report's
+        ``params`` or a scene spec gives ``lines``; ConfigError otherwise."""
+        pair = json_value("lines", value, list)
+        if len(pair) != 2:
+            raise ConfigError(f"lines must hold two integers Y1,Y2, got {quote(pair)}")
+        return cls(*(json_value("lines", y, int) for y in pair))
 
     def check_fits(self, height: int) -> None:
         """Raise ConfigError unless zone B, the rows below the OUT line, has

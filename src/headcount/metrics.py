@@ -9,12 +9,15 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
 from .counting import Counters, CrossEvent, Direction
-from .errors import ConfigError, UndefinedAccuracy, json_value
+from .errors import ConfigError, UndefinedAccuracy, json_object, json_value
 
 # report key of each accuracy -> (its Counters field, its GroundTruth field)
 _ACCURACIES = {"in_accuracy": ("in_count", "true_in"),
                "out_accuracy": ("out_count", "true_out"),
                "tc_accuracy": ("total_count", "true_total")}
+# every key of a report; a truth document may hold them all, since it may be a report
+_KEYS = ("in", "out", "total", "events", "params", "true_in", "true_out", "true_total",
+         *_ACCURACIES)
 
 
 def _counts(doc: dict[str, Any], keys: tuple[str, str, str]) -> list[int]:
@@ -48,8 +51,8 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "GroundTruth":
-        """The truth in ``doc``, which may hold other keys, as a report does."""
-        return cls(*_counts(doc, cls.KEYS))
+        """The truth in ``doc``, which may hold the other keys of a report."""
+        return cls(*_counts(json_object("truth", doc, _KEYS), cls.KEYS))
 
 
 def accuracy_pct(count: int, true_count: int) -> float:
@@ -116,7 +119,7 @@ class CountReport:
         """The report ``to_dict`` wrote; ConfigError unless every count is a
         consistent JSON integer and every stored accuracy the derived one.
         ``events`` and ``params`` may be absent."""
-        n_in, n_out, _ = _counts(doc, ("in", "out", "total"))
+        n_in, n_out, _ = _counts(json_object("report", doc, _KEYS), ("in", "out", "total"))
         events = json_value("events", doc.get("events", []), list)
         params = json_value("params", doc.get("params", {}), dict)
         has_truth = any(key in doc for key in (*GroundTruth.KEYS, *_ACCURACIES))
@@ -129,7 +132,8 @@ class CountReport:
 
 
 def _event(doc) -> CrossEvent:
-    if not isinstance(doc, dict) or doc.get("direction") not in ("IN", "OUT"):
+    doc = json_object("event", doc, ("frame", "track_id", "direction"))
+    if doc.get("direction") not in ("IN", "OUT"):
         raise ConfigError("each event must be an object with direction IN or OUT")
     return CrossEvent(json_value("event frame", doc.get("frame"), int),
                       json_value("event track_id", doc.get("track_id"), int),

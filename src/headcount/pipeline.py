@@ -14,7 +14,7 @@ from .background import (DEFAULT_ALPHA, DEFAULT_THRESHOLD, BackgroundModel,
                          check_params, morph_open)
 from .blobs import BlobFilterParams, BlobKeypoint, detect_blobs
 from .counting import Counters, CrossEvent, LinePair, advance, apply_event
-from .errors import ConfigError, EmptySequence, OrderError
+from .errors import ConfigError, EmptySequence, OrderError, json_object, json_value
 from .frame_io import Frame
 from .metrics import CountReport, GroundTruth
 from .tracking import Tracker, TrackerConfig
@@ -83,6 +83,24 @@ class PipelineConfig:
             owner = self if section is None else getattr(self, section)
             params[key] = getattr(owner, name)
         return params
+
+    @classmethod
+    def from_params(cls, doc) -> "PipelineConfig":
+        """The inverse of ``to_params_dict``: ``doc`` must hold ``lines`` and may
+        omit any other key, null only where its field defaults to None."""
+        json_object("config", doc, ("lines", *PARAMS))
+        if doc.get("lines") is None:
+            raise ConfigError("counting lines are required (--lines Y1,Y2)")
+        sections = {None: cls, "blob": BlobFilterParams, "tracker": TrackerConfig}
+        kwargs: dict = {section: {} for section in sections}
+        for key, (section, name, kind, _) in PARAMS.items():
+            if key in doc:
+                default = sections[section].__dataclass_fields__[name].default
+                kwargs[section][name] = json_value(key, doc[key], kind,
+                                                   nullable=default is None)
+        return cls(LinePair.from_json(doc["lines"]),
+                   blob=BlobFilterParams(**kwargs["blob"]),
+                   tracker=TrackerConfig(**kwargs["tracker"]), **kwargs[None])
 
 
 class CountingPipeline:

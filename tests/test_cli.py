@@ -663,6 +663,15 @@ LONG_VALUE_CASES = {
     "config_lines": lambda tmp: [
         "count", "--input", str(tmp),
         "--config", write_json(tmp / "c.json", {"lines": ["x" * 5000, 3]})],
+    # 4000 digits parse as an integer, so the 64-bit bound must reject them
+    "lines_flag_4000_digits": lambda tmp: ["count", "--input", str(tmp),
+                                           "--lines", "1," + "9" * 4000],
+    "synth_lines_flag": lambda tmp: [
+        "synth", "--out", str(tmp / "out"), "--spec", write_json(tmp / "s.json", SCENE),
+        "--lines", "1," + "9" * 4000],
+    "config_lines_integer": lambda tmp: [
+        "count", "--input", str(tmp),
+        "--config", write_json(tmp / "c.json", {"lines": [1, int("9" * 30)]})],
     "spec_actor": lambda tmp: [
         "synth", "--out", str(tmp / "out"), "--spec", write_json(tmp / "s.json", {
             **SCENE, "actors": [{**SCENE["actors"][0], "start": ["x" * 5000, 1.0]}]})],
@@ -677,3 +686,66 @@ def test_long_rejected_value_is_quoted_in_part(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith("error:") and "... (" in captured.err
     assert len(captured.err.encode()) < 200
+
+
+def count_report(tmp_path, capsys):
+    """The frames of SCENE and the report ``count --truth`` writes for them."""
+    out_dir = synth(tmp_path)
+    capsys.readouterr()
+    code, out, _ = run_count(capsys, "--input", str(out_dir), "--truth",
+                             str(out_dir / "truth.json"), *COUNT_FLAGS)
+    assert code == 0
+    return out_dir, json.loads(out)
+
+
+def misspelled(doc, old, new):
+    return {new if key == old else key: value for key, value in doc.items()}
+
+
+# a misspelled key in either eval document, which eval used to drop unread:
+# the document it is in, how to misspell it, and the misspelled key
+MISSPELLINGS = {
+    "report_key": ("report", lambda doc: misspelled(doc, "tc_accuracy", "tc_acuracy"),
+                   "tc_acuracy"),
+    "event_key": ("report", lambda doc: dict(doc, events=[
+        misspelled(doc["events"][0], "frame", "frme")]), "frme"),
+    "params_key": ("report", lambda doc: dict(doc, params=misspelled(
+        doc["params"], "alpha", "alpah")), "alpah"),
+    "truth_key": ("truth", lambda doc: dict(doc, true_totl=7), "true_totl"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSPELLINGS))
+def test_eval_rejects_misspelled_keys(tmp_path, capsys, case):
+    out_dir, report = count_report(tmp_path, capsys)
+    docs = {"report": report, "truth": json.loads((out_dir / "truth.json").read_text())}
+    which, change, key = MISSPELLINGS[case]
+    docs[which] = change(docs[which])
+    paths = {name: write_json(tmp_path / f"{name}.json", doc) for name, doc in docs.items()}
+    code = main(["eval", "--report", paths["report"], "--truth", paths["truth"]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert key in captured.err and f"{which}.json" in captured.err
+
+
+def test_report_reads_as_truth(tmp_path, capsys):
+    # count --truth and eval --truth may be handed a report with its truth
+    out_dir, report = count_report(tmp_path, capsys)
+    path = write_json(tmp_path / "report.json", report)
+    assert main(["eval", "--report", path, "--truth", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "in_accuracy": 100.0, "out_accuracy": 100.0, "tc_accuracy": 100.0}
+    code, out, _ = run_count(capsys, "--input", str(out_dir), "--truth", path, *COUNT_FLAGS)
+    assert code == 0
+    assert json.loads(out) == report
+
+
+def test_count_empty_raw_file_is_io_error(tmp_path, capsys):
+    raw = tmp_path / "empty.raw"
+    raw.write_bytes(b"")
+    code, out, err = run_count(capsys, "--input", str(raw), "--raw", "8x8",
+                               "--lines", "2,5")
+    assert code == 1
+    assert out == ""
+    assert "holds no complete frames" in err

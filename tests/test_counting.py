@@ -39,6 +39,24 @@ def test_line_pair_rejects_negative_rows(line_in_y):
         LinePair(line_in_y, 80)
 
 
+def test_line_pair_from_json():
+    assert LinePair.from_json([100, 200]) == LINES
+    assert LinePair.from_json([1, 2**63 - 1]) == LinePair(1, 2**63 - 1)
+
+
+@pytest.mark.parametrize("value,match", [
+    ("100,200", "JSON array"), ((100, 200), "JSON array"), (None, "JSON array"),
+    ([100], "two integers"), ([100, 200, 300], "two integers"), ([], "two integers"),
+    ([100.0, 200], "JSON integer"), ([100, True], "JSON integer"), ([100, "200"], "JSON integer"),
+    ([1, 2**63], "64-bit"), ([1, int("9" * 4000)], r"64-bit integer, got '?9{20}\.\.\. "),
+    ([200, 100], "must be above"), ([0, 100], ">= 1"),
+])
+def test_line_pair_from_json_rejects(value, match):
+    with pytest.raises(ConfigError, match=match) as info:
+        LinePair.from_json(value)
+    assert len(str(info.value)) < 200
+
+
 def test_classify_zones():
     assert classify_zone((5.0, 0.0), LINES) is Zone.A
     assert classify_zone((5.0, 300.0), LINES) is Zone.B

@@ -180,6 +180,14 @@ def test_open_sequence_raw_misaligned(tmp_path):
         list(open_sequence(SequenceSpec(source=path, width=64, height=48)))
 
 
+def test_open_sequence_raw_empty_file(tmp_path):
+    # zero bytes is a multiple of every frame size, but holds no frame
+    path = tmp_path / "frames.raw"
+    path.write_bytes(b"")
+    with pytest.raises(EmptySequence, match="holds no complete frames"):
+        list(open_sequence(SequenceSpec(source=path, width=8, height=8)))
+
+
 def test_open_sequence_raw_shrinking_file(tmp_path, monkeypatch):
     # the size is checked before reading; a file cut short meanwhile ends
     # the stream at the short read instead of yielding unread pixels

@@ -161,6 +161,11 @@ BAD_REPORTS = {
                                                       "direction": "IN"}]),
     "events_not_a_list": report_doc(events={"frame": 3}),
     "params_not_an_object": report_doc(params=[1, 2]),
+    # a misspelled key, with and without truth
+    "unknown_key": {"in": 1, "out": 0, "total": 1, "evnts": []},
+    "unknown_key_with_truth": report_doc(tc_acuracy=100.0),
+    "unknown_event_key": report_doc(events=[{"frame": 3, "track_id": 0,
+                                             "direction": "IN", "frme": 3}]),
 }
 
 
@@ -198,6 +203,7 @@ def test_ground_truth_document_round_trip():
     {"true_in": 1, "true_out": 1},
     {"true_in": 1, "true_out": False, "true_total": 1},
     {"true_in": -1, "true_out": 2, "true_total": 1},
+    {"true_in": 1, "true_out": 1, "true_total": 2, "true_totl": 2},
 ])
 def test_ground_truth_from_dict_rejects_bad_counts(doc):
     with pytest.raises(ConfigError, match="true_"):

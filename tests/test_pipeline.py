@@ -251,6 +251,45 @@ def test_params_snapshot_reflects_config():
     assert params["lines"] == [60, 100]
 
 
+@pytest.mark.parametrize("cfg", [
+    PipelineConfig(lines=LINES),
+    PipelineConfig(lines=LinePair(1, 2), alpha=0.05, threshold=30.0, warmup=0,
+                   morph_radius=0, connectivity=4, invert_direction=True,
+                   blob=BlobFilterParams(min_area=50, max_area=None),
+                   tracker=TrackerConfig(max_match_distance=40.0, max_missed=3)),
+    PipelineConfig(lines=LINES, blob=BlobFilterParams(
+        min_area=5, max_area=900, min_circularity=0.1, min_convexity=0.2,
+        min_inertia_ratio=0.4)),
+], ids=["defaults", "top_level_and_tracker", "blob"])
+def test_from_params_inverts_to_params_dict(cfg):
+    params = cfg.to_params_dict()
+    assert PipelineConfig.from_params(params) == cfg
+    assert PipelineConfig.from_params(params).to_params_dict() == params
+
+
+def test_from_params_fills_defaults():
+    assert PipelineConfig.from_params({"lines": [60, 100]}) == PipelineConfig(lines=LINES)
+
+
+@pytest.mark.parametrize("doc,match", [
+    ({"lines": [60, 100], "alpah": 0.5}, r"unknown config keys: \['alpah'\]"),
+    ({"alpha": 0.5}, "counting lines are required"),
+    ({"lines": None}, "counting lines are required"),
+    ({"lines": [60, 100], "min_area": None}, "min_area must be a JSON integer"),
+    ({"lines": [60, 100], "max_area": 1.5}, "max_area must be a JSON integer"),
+    ({"lines": [60, 100], "invert_direction": 1}, "invert_direction must be a JSON boolean"),
+    ({"lines": "60,100"}, "lines must be a JSON array"),
+    ({"lines": [60, 100, 140]}, "lines must hold two integers"),
+    ({"lines": [60, 2**63]}, "lines must be a 64-bit integer"),
+    ({"lines": [60.0, 100]}, "lines must be a JSON integer"),
+    ({"lines": [100, 60]}, "must be above"),
+    ([["lines", [60, 100]]], "config must be a JSON object"),
+])
+def test_from_params_rejects_bad_documents(doc, match):
+    with pytest.raises(ConfigError, match=match):
+        PipelineConfig.from_params(doc)
+
+
 @pytest.mark.parametrize("name", ["alpha", "threshold"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_background_params(name, value):
