@@ -43,8 +43,6 @@ class ComponentLabels:
     in adjacent rows, touching under 8-connectivity. Nothing per pixel is kept.
     """
 
-    width: int
-    height: int
     srow: np.ndarray
     scol: np.ndarray
     ecol: np.ndarray
@@ -104,6 +102,12 @@ class BlobFilterParams:
                 raise ConfigError(f"{name} must be in [0,1], got {v}")
 
 
+def check_connectivity(connectivity: int) -> None:
+    """Raise ConfigError unless ``connectivity`` is 4 or 8."""
+    if connectivity not in (4, 8):
+        raise ConfigError(f"connectivity must be 4 or 8, got {quote(connectivity)}")
+
+
 def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabels:
     """Label connected foreground regions.
 
@@ -119,8 +123,7 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabels
     position of their first run. Returns the run table and the pairs inside
     components; no per-pixel image is built.
     """
-    if connectivity not in (4, 8):
-        raise ConfigError(f"connectivity must be 4 or 8, got {connectivity}")
+    check_connectivity(connectivity)
     bits = mask.bits
     h, w = bits.shape
 
@@ -175,7 +178,7 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabels
 
     is_root = root == np.arange(n_runs)
     run_component = np.cumsum(is_root, dtype=np.int32)[root]
-    return ComponentLabels(w, h, srow, scol, ecol, run_component, int(is_root.sum()),
+    return ComponentLabels(srow, scol, ecol, run_component, int(is_root.sum()),
                            above, below)
 
 

@@ -43,11 +43,11 @@ class LinePair:
 
     def __post_init__(self):
         if self.line_in_y < 1:
-            raise ConfigError(f"line_in_y must be >= 1, got {self.line_in_y}")
+            raise ConfigError(f"line_in_y must be >= 1, got {quote(self.line_in_y)}")
         if self.line_in_y >= self.line_out_y:
             raise ConfigError(
-                f"line_in_y ({self.line_in_y}) must be above "
-                f"line_out_y ({self.line_out_y})"
+                f"line_in_y ({quote(self.line_in_y)}) must be above "
+                f"line_out_y ({quote(self.line_out_y)})"
             )
 
     @classmethod
@@ -64,8 +64,8 @@ class LinePair:
         a row in a frame of ``height`` rows."""
         if self.line_out_y > height - 2:
             raise ConfigError(
-                f"counting lines {self.line_in_y},{self.line_out_y} do not fit "
-                f"a frame of height {height}: line_out_y must be <= {height - 2}"
+                f"counting lines {quote(self.line_in_y)},{quote(self.line_out_y)} do not "
+                f"fit a frame of height {height}: line_out_y must be <= {height - 2}"
             )
 
 

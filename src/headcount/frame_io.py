@@ -22,7 +22,9 @@ if TYPE_CHECKING:
     from .blobs import BlobKeypoint
     from .counting import LinePair
 
-_WHITESPACE = b" \t\r\n\v\f"
+# whitespace and '#' comments, each running to the end of its line, may
+# stand before a header token; the token runs to the next whitespace
+_TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]+|#[^\n]*)*([^ \t\r\n\v\f]*)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,23 +73,15 @@ class SequenceSpec:
 
 
 def _read_header_token(path, data: bytes, pos: int) -> tuple[bytes, int]:
-    # skip whitespace and '#' comments, then take one token
-    n = len(data)
-    while pos < n:
-        c = data[pos:pos + 1]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == b"#":
-            while pos < n and data[pos:pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and data[pos:pos + 1] not in _WHITESPACE:
-        pos += 1
-    if start == pos:
+    match = _TOKEN.match(data, pos)
+    if not match.group(1):
         raise ParseError(f"{path}: unexpected end of PGM header")
-    return data[start:pos], pos
+    return match.group(1), match.end()
+
+
+def _byte_count(size: int) -> int | str:
+    # width * height can run to thousands of digits, past what str() takes
+    return size if size <= 10**20 else "over 10**20"
 
 
 def load_frame(path, index: int = 0) -> Frame:
@@ -115,15 +109,14 @@ def load_frame(path, index: int = 0) -> Frame:
     width, height, maxval = fields
     if maxval != 255:
         raise UnsupportedFormat(f"{path}: maxval {quote(token)} unsupported (need 255)")
-    if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
+    if not data[pos:pos + 1].isspace():  # _TOKEN's six bytes; b"" is not space
         raise ParseError(f"{path}: missing whitespace after maxval")
-    pos += 1
+    start = pos + 1  # the raster follows that one byte
     size = width * height
-    if len(data) - pos < size:
-        # width * height can run to thousands of digits, past what str() takes
-        need = size if size <= 10**20 else "over 10**20"
-        raise ParseError(f"{path}: truncated pixel data ({len(data) - pos} of {need} bytes)")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)
+    if len(data) - start < size:
+        raise ParseError(f"{path}: truncated pixel data "
+                         f"({len(data) - start} of {_byte_count(size)} bytes)")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=size, offset=start)
     return Frame(index, pixels.reshape(height, width).copy())
 
 
@@ -173,9 +166,8 @@ def open_sequence(spec: SequenceSpec) -> Iterator[Frame]:
     frame_size = spec.width * spec.height
     total = src.stat().st_size
     if total % frame_size != 0:
-        # width * height can run to thousands of digits, past what str() takes
-        need = frame_size if frame_size <= 10**20 else "over 10**20"
-        raise TruncatedStream(f"{src}: size {total} is not a multiple of frame size {need}")
+        raise TruncatedStream(f"{src}: size {total} is not a multiple of "
+                              f"frame size {_byte_count(frame_size)}")
     count = total // frame_size
     if count == 0:
         raise EmptySequence(f"{src} holds no complete frames")

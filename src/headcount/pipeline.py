@@ -12,7 +12,7 @@ from typing import Any, Iterable, Optional
 
 from .background import (DEFAULT_ALPHA, DEFAULT_THRESHOLD, BackgroundModel,
                          check_params, morph_open)
-from .blobs import BlobFilterParams, BlobKeypoint, detect_blobs
+from .blobs import BlobFilterParams, BlobKeypoint, check_connectivity, detect_blobs
 from .counting import Counters, CrossEvent, LinePair, advance, apply_event
 from .errors import ConfigError, EmptySequence, OrderError, json_object, json_value
 from .frame_io import Frame
@@ -72,8 +72,7 @@ class PipelineConfig:
             raise ConfigError(f"warmup must be >= 0, got {self.warmup}")
         if self.morph_radius < 0:
             raise ConfigError("morph_radius must be >= 0")
-        if self.connectivity not in (4, 8):
-            raise ConfigError("connectivity must be 4 or 8")
+        check_connectivity(self.connectivity)
 
     def to_params_dict(self) -> dict[str, Any]:
         """Flat snapshot of every effective parameter, for the report."""

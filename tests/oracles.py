@@ -3,8 +3,9 @@
 Everything here is deliberately written with different algorithms than the
 package (flood fill instead of run-based union-find, brute-force window scans
 instead of vectorized morphology, string search instead of a per-frame state
-machine, full-frame scans and every-pixel hulls instead of run tables) so
-agreement between the two is meaningful.
+machine, full-frame scans and every-pixel hulls instead of run tables, a
+byte-by-byte scanner instead of a compiled pattern) so agreement between the
+two is meaningful.
 """
 
 import math
@@ -217,21 +218,22 @@ def hull_pixel_count(points: list) -> int:
     return (abs(twice_area) + boundary + 2) // 2
 
 
-def label_image(labels) -> np.ndarray:
-    """Per-pixel component ids (0 = background) painted from a run table:
-    +id at each run start and -id just past each run end, then a prefix sum
-    over the flattened frame."""
-    w = labels.width
-    delta = np.zeros(labels.height * w + 1, dtype=np.int32)
+def label_image(labels, shape: tuple[int, int]) -> np.ndarray:
+    """Per-pixel component ids (0 = background) of a ``shape`` frame painted
+    from a run table: +id at each run start and -id just past each run end,
+    then a prefix sum over the flattened frame."""
+    h, w = shape
+    delta = np.zeros(h * w + 1, dtype=np.int32)
     delta[labels.srow * w + labels.scol] += labels.run_component
     delta[labels.srow * w + labels.ecol] -= labels.run_component
-    return np.cumsum(delta[:-1], dtype=np.int32).reshape(labels.height, w)
+    return np.cumsum(delta[:-1], dtype=np.int32).reshape(h, w)
 
 
 def measure_fullframe(labels, component_id: int) -> BlobMeasurements:
-    """Measure one component by scanning the whole painted label image and
-    taking float means and the hull over every one of its pixels."""
-    image = label_image(labels)
+    """Measure one component by scanning the whole painted label image (of
+    the smallest frame that holds every run) and taking float means and the
+    hull over every one of its pixels."""
+    image = label_image(labels, (int(labels.srow.max()) + 1, int(labels.ecol.max())))
     ys, xs = np.nonzero(image == component_id)
     area = len(xs)
     y0, y1 = ys.min(), ys.max()
@@ -248,3 +250,25 @@ def measure_fullframe(labels, component_id: int) -> BlobMeasurements:
         second_moments=(float(dx @ dx) / area, float(dy @ dy) / area,
                         float(dx @ dy) / area),
     )
+
+
+def read_header_token(data: bytes, pos: int):
+    """One PGM header token by a byte-by-byte scan: skip whitespace and '#'
+    comments (each up to, not including, its newline), then take bytes up to
+    the next whitespace. Returns (token, end), or None when the token is
+    empty."""
+    whitespace = b" \t\r\n\v\f"
+    n = len(data)
+    while pos < n:
+        c = data[pos:pos + 1]
+        if c in whitespace:
+            pos += 1
+        elif c == b"#":
+            while pos < n and data[pos:pos + 1] != b"\n":
+                pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and data[pos:pos + 1] not in whitespace:
+        pos += 1
+    return None if start == pos else (data[start:pos], pos)

@@ -124,7 +124,7 @@ def test_criterion_04_labeling_equals_flood_fill():
                 got = label_components(BinaryMask(bits), conn)
                 elapsed += time.perf_counter() - start
                 expected = flood_fill_labels(bits, conn)
-                assert np.array_equal(label_image(got), expected)
+                assert np.array_equal(label_image(got, bits.shape), expected)
                 assert got.count == int(expected.max())
         assert elapsed < 10.0, f"labeling took {elapsed:.1f}s"
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from headcount import (BinaryMask, BlobFilterParams, BlobMeasurements,
-                       circularity, convexity, detect_blobs, inertia_ratio,
-                       label_components, measure)
+from headcount import (BinaryMask, BlobFilterParams, BlobMeasurements, LinePair,
+                       PipelineConfig, circularity, convexity, detect_blobs,
+                       inertia_ratio, label_components, measure)
 from headcount.errors import ConfigError, DegenerateBlob, NotFound
 
 import headcount.blobs
@@ -29,7 +29,7 @@ def blob_mask(points, shape):
 def test_label_empty_mask():
     labels = label_components(mask_of(np.zeros((8, 8))), 8)
     assert labels.count == 0
-    assert not label_image(labels).any()
+    assert not label_image(labels, (8, 8)).any()
 
 
 def test_label_diagonal_connectivity():
@@ -44,7 +44,7 @@ def test_label_order_is_raster_first_encounter():
     bits[0, 5] = True          # first in raster order
     bits[2, 0:3] = True
     bits[4, 6] = True
-    image = label_image(label_components(mask_of(bits), 8))
+    image = label_image(label_components(mask_of(bits), 8), bits.shape)
     assert image[0, 5] == 1
     assert image[2, 0] == 2
     assert image[4, 6] == 3
@@ -53,14 +53,22 @@ def test_label_order_is_raster_first_encounter():
 def test_label_deterministic():
     rng = np.random.default_rng(5)
     bits = rng.random((32, 32)) < 0.5
-    first = label_image(label_components(mask_of(bits), 8))
-    second = label_image(label_components(mask_of(bits), 8))
+    first = label_image(label_components(mask_of(bits), 8), bits.shape)
+    second = label_image(label_components(mask_of(bits), 8), bits.shape)
     assert np.array_equal(first, second)
 
 
 def test_label_bad_connectivity():
-    with pytest.raises(ConfigError):
-        label_components(mask_of(np.zeros((4, 4))), 6)
+    # a config checks connectivity by the same rule, with the same message
+    for value in (6, 0, 2**70):
+        with pytest.raises(ConfigError) as labeling:
+            label_components(mask_of(np.zeros((4, 4))), value)
+        with pytest.raises(ConfigError) as config:
+            PipelineConfig(lines=LinePair(1, 2), connectivity=value)
+        assert str(config.value) == str(labeling.value)
+        message = str(labeling.value)
+        assert message.startswith(f"connectivity must be 4 or 8, got {str(value)[:20]}")
+        assert len(message) < 80
 
 
 def test_label_matches_flood_fill_oracle(rng):
@@ -70,7 +78,7 @@ def test_label_matches_flood_fill_oracle(rng):
         for conn in (4, 8):
             got = label_components(mask_of(bits), conn)
             expected = flood_fill_labels(bits, conn)
-            assert np.array_equal(label_image(got), expected)
+            assert np.array_equal(label_image(got, bits.shape), expected)
             assert got.count == int(expected.max())
 
 
@@ -133,7 +141,7 @@ def test_label_matches_flood_fill_on_stress_shapes(shape, conn):
     # each run's component is the oracle label of its first pixel, and the
     # painted image checks that the runs cover exactly the labeled pixels
     assert np.array_equal(got.run_component, expected[got.srow, got.scol])
-    assert np.array_equal(label_image(got), expected)
+    assert np.array_equal(label_image(got, bits.shape), expected)
 
 
 @pytest.mark.parametrize("conn", [4, 8])
@@ -148,7 +156,7 @@ def test_label_matches_flood_fill_on_runs_ending_in_the_last_column(rng, width, 
         got = label_components(mask_of(bits), conn)
         expected = flood_fill_labels(bits, conn)
         assert got.count == int(expected.max())
-        assert np.array_equal(label_image(got), expected)
+        assert np.array_equal(label_image(got, bits.shape), expected)
 
 
 def test_label_stress_shapes_have_the_intended_components():
@@ -425,7 +433,7 @@ def test_label_image_is_painted_from_runs_on_demand(rng):
         h, w = bits.shape
         for conn in (4, 8):
             labels = label_components(mask_of(bits), conn)
-            image = label_image(labels)
+            image = label_image(labels, bits.shape)
             run_of = np.full(bits.shape, -1)
             for i, (y, s, e) in enumerate(zip(labels.srow.tolist(), labels.scol.tolist(),
                                               labels.ecol.tolist())):
@@ -444,10 +452,10 @@ def test_label_image_is_painted_from_runs_on_demand(rng):
                 for y, s, e in zip(rows.tolist(), starts.tolist(), ends.tolist()):
                     painted[y, s:e] = True
                 assert np.array_equal(painted, image == cid)
-                keys = rows * labels.width + starts
+                keys = rows * w + starts
                 assert (np.diff(keys) > 0).all()
-            assert set(vars(labels)) == {"width", "height", "srow", "scol", "ecol",
-                                         "run_component", "count", "above", "below"}
+            assert set(vars(labels)) == {"srow", "scol", "ecol", "run_component", "count",
+                                         "above", "below"}
 
 
 # ------------------------------------------------------------ shape metrics
@@ -545,7 +553,7 @@ def test_hull_area_equals_every_pixel_oracle(name):
     bits = np.pad([[c == "#" for c in row] for row in HULL_SHAPES[name]], 2)
     for conn in (4, 8):
         labels = label_components(mask_of(bits), conn)
-        image = label_image(labels)
+        image = label_image(labels, bits.shape)
         for cid in range(1, labels.count + 1):
             ys, xs = np.nonzero(image == cid)
             want = hull_pixel_count(list(zip(xs.tolist(), ys.tolist())))

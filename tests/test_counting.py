@@ -39,6 +39,18 @@ def test_line_pair_rejects_negative_rows(line_in_y):
         LinePair(line_in_y, 80)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LinePair(1, int("9" * 4000)).check_fits(64),
+    lambda: LinePair(int("9" * 4000), 5),
+    lambda: LinePair(-int("9" * 4000), 5),
+], ids=["check_fits", "above", "below-row-1"])
+def test_line_pair_quotes_huge_rows_in_part(build):
+    # the library can build a pair past the 64-bit bound of from_json
+    with pytest.raises(ConfigError, match=r"9{19}\.\.\. \(400[01] characters\)") as info:
+        build()
+    assert len(str(info.value)) < 200
+
+
 def test_line_pair_from_json():
     assert LinePair.from_json([100, 200]) == LINES
     assert LinePair.from_json([1, 2**63 - 1]) == LinePair(1, 2**63 - 1)

@@ -10,7 +10,7 @@ from headcount.errors import (ConfigError, EmptySequence, ParseError,
                               TruncatedStream, UnsupportedFormat)
 
 from conftest import make_frame, uniform_frame
-from oracles import midpoint_circle_points
+from oracles import midpoint_circle_points, read_header_token
 
 
 def pgm_bytes(width, height, pixels, magic=b"P5", maxval=255):
@@ -84,6 +84,53 @@ def test_long_header_token_is_quoted_in_part(tmp_path):
     path.write_bytes(b"P5\n4 4\n" + b"9" * 4000 + b"\n" + bytes(16))
     with pytest.raises(UnsupportedFormat, match=r"maxval b'9{20}'\.\.\. \(4000 bytes\) "):
         load_frame(path)
+
+
+def test_header_tokens_match_the_byte_scanner_oracle(rng):
+    # random headers over whitespace, '#', digits, letters and the two byte
+    # extremes, read from random start positions
+    path = "a.pgm"
+    alphabet = np.frombuffer(b" \t\r\n\v\f#5Pa\x00\xff", dtype=np.uint8)
+    for _ in range(20000):
+        data = rng.choice(alphabet, size=int(rng.integers(0, 24))).tobytes()
+        pos = int(rng.integers(0, len(data) + 1))
+        want = read_header_token(data, pos)
+        if want is None:
+            with pytest.raises(ParseError) as info:
+                frame_io._read_header_token(path, data, pos)
+            assert str(info.value) == f"{path}: unexpected end of PGM header"
+        else:
+            assert frame_io._read_header_token(path, data, pos) == want
+
+
+@pytest.mark.parametrize("header,match", [
+    (b"P5\n6#4 64\n255\n", r"non-numeric width field b'6#4'$"),
+    (b"P5#c\n4 4\n255\n", r"\(magic b'P5#c'\)$"),
+    (b"P5\n4 4 # no maxval\n", "unexpected end of PGM header$"),
+    (b"P5\n4 4\n255#", r"non-numeric maxval field b'255#'$"),
+])
+def test_a_token_runs_to_the_next_whitespace(tmp_path, header, match):
+    # '#' starts a comment only where whitespace may stand, not inside a token
+    path = tmp_path / "a.pgm"
+    path.write_bytes(header)
+    with pytest.raises(ParseError, match=match):
+        load_frame(path)
+
+
+@pytest.mark.parametrize("header", [
+    b"P5\v2\f2\r\n255\n",
+    b"P5\r\n2\r\n2\r\n255\r",
+    b"P5\f# comment\v\n2\t2\n#\n255\v",
+    b"P5" + b" \t\n\r" * 2**18 + b"2 2\n255\n",
+    b"P5\n#" + b"x" * 2**22 + b"\n2 2\n255\f",
+    b"P5" + b"\n#" * 2**10 + b"\n2 2 255\n",
+], ids=["vt-ff-crlf", "crlf", "comments", "1mb-whitespace", "4mb-comment", "many-comments"])
+def test_header_separators_and_long_headers(tmp_path, header):
+    # any of the six whitespace bytes separates tokens, and exactly one of
+    # them ends the header
+    path = tmp_path / "a.pgm"
+    path.write_bytes(header + bytes([10, 20, 30, 40]))
+    assert load_frame(path).pixels.tolist() == [[10, 20], [30, 40]]
 
 
 @pytest.mark.parametrize("width,height,need", [
