@@ -11,13 +11,17 @@ The estimate is float32, or float64 where alpha is so small that float32
 would stall short of the threshold (``BackgroundModel`` gives the rule and
 how the threshold is rounded). Both per-frame steps walk the frame in blocks
 of rows, in place: the model owns one scratch buffer of one block, in the
-estimate's dtype, so each block's passes run on data still in cache and the
-only frame-sized array a frame allocates is its boolean mask.
+estimate's dtype, so each block's passes run on data still in cache. Beyond
+one block of booleans, the only per-pixel array a frame allocates is its
+bit-packed mask.
+
+A mask is stored as bit-packed rows, 64 pixels to a word: ``subtract`` packs
+each block of rows as it compares it, the opening works on the words, and
+labeling reads run edges from them. A boolean array is unpacked only on
+request.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,23 +35,57 @@ DEFAULT_THRESHOLD = 25.0
 BLOCK_PIXELS = 2**15
 
 
-@dataclass(eq=False)
 class BinaryMask:
-    """Boolean foreground map, shape ``(height, width)``, True = foreground."""
+    """Foreground map of ``height`` rows of ``width`` pixels, as packed rows.
 
-    bits: np.ndarray
+    ``BinaryMask(bits)`` packs a 2-D boolean array, True = foreground, once.
+    ``words`` holds the rows in the packed layout described at ``_pack``,
+    with every pad bit zero; it is the mask's one stored form. ``bits`` unpacks
+    a fresh read-only boolean array on each access, so writing into it raises
+    instead of leaving the mask unchanged.
+    """
 
-    def __post_init__(self):
-        if self.bits.dtype != np.bool_ or self.bits.ndim != 2:
+    __slots__ = ("words", "width")
+
+    def __init__(self, bits: np.ndarray):
+        if bits.dtype != np.bool_ or bits.ndim != 2:
             raise ValueError("mask bits must be a 2-D boolean array")
+        self.words = _pack([(0, bits)], *bits.shape)
+        self.width = bits.shape[1]
 
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
+    @classmethod
+    def packed(cls, words: np.ndarray, width: int) -> "BinaryMask":
+        """The mask whose packed rows are ``words``, kept without a copy."""
+        mask = cls.__new__(cls)
+        mask.words, mask.width = words, width
+        return mask
 
     @property
     def height(self) -> int:
-        return self.bits.shape[0]
+        return len(self.words)
+
+    @property
+    def bits(self) -> np.ndarray:
+        bits = _unpack(self.words, self.width)
+        bits.flags.writeable = False
+        return bits
+
+    def run_edges(self) -> tuple[np.ndarray, int]:
+        """Keys ``row*stride + column`` of every pixel that differs from its
+        left neighbour, ascending, and ``stride``, at least ``width + 1``.
+        Pad bits close every row, so each row's keys alternate run start,
+        exclusive run end. One shift and one exclusive-or find the changes 64
+        pixels at a time; only the bytes holding one are unpacked, so that
+        np.flatnonzero runs on a short boolean array, its fast case.
+        """
+        flat = self.words.reshape(-1)
+        edges = _shift_right(flat)
+        edges ^= flat
+        edge_bytes = _bytes(edges)
+        changed = np.flatnonzero(edge_bytes != 0)
+        bit = np.flatnonzero(np.unpackbits(edge_bytes[changed]).view(np.bool_))
+        # a change's index among all bits of the rows' bytes is its key
+        return (changed[bit >> 3] << 3) | (bit & 7), 64 * self.words.shape[1]
 
 
 def check_params(alpha: float, threshold: float) -> None:
@@ -137,38 +175,54 @@ class BackgroundModel:
     def subtract(self, frame: Frame) -> BinaryMask:
         """Foreground mask: |frame - estimate| > threshold, per pixel.
 
-        The differences are taken in the scratch buffer; the returned mask is
-        a fresh array that shares memory with nothing the model keeps.
+        The differences are taken in the scratch buffer, and each block's
+        comparison is packed into the mask's rows while still in cache; the
+        returned mask shares memory with nothing the model keeps.
         """
-        mask = np.empty(self.estimate.shape, dtype=bool)
         threshold = self._threshold
-        for top, _, diff in self._differences(frame):
-            np.abs(diff, out=diff)
-            np.greater(diff, threshold, out=mask[top:top + len(diff)])
-        return BinaryMask(mask)
+        height, width = self.estimate.shape
+        blocks = ((top, np.abs(diff, out=diff) > threshold)
+                  for top, _, diff in self._differences(frame))
+        return BinaryMask.packed(_pack(blocks, height, width), width)
 
 
-# Opening works on bit-packed rows. np.packbits puts column c at bit
-# 63 - c % 64 of word c // 64 once the bytes are read as big-endian uint64, so
-# one shift moves 64 mask pixels by a column. Every row gets w // 64 + 1 words,
-# so it ends in at least one zero pad bit, and the rows lie end to end in one
-# flat array: a one-column shift of the whole array carries each word's edge
-# bit into its neighbour, and a row's first and last columns see a pad bit,
-# that is background, beside them.
+# Masks are bit-packed rows. np.packbits puts column c at bit 63 - c % 64 of
+# word c // 64 once the bytes are read as big-endian uint64, so one shift
+# moves 64 mask pixels by a column. Every row gets w // 64 + 1 words, so it
+# ends in at least one zero pad bit, and the rows lie end to end in one flat
+# array: a one-column shift of the whole array carries each word's edge bit
+# into its neighbour, and a row's first and last columns see a pad bit, that
+# is background, beside them.
 _ONE = np.uint64(1)
 _LAST = np.uint64(63)
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    h, w = bits.shape
-    packed = np.zeros((h, (w // 64 + 1) * 8), dtype=np.uint8)
-    packed[:, :(w + 7) // 8] = np.packbits(bits, axis=1)
+def _pack(blocks, height: int, width: int) -> np.ndarray:
+    """Packed rows of a ``height`` x ``width`` mask given as (top row,
+    boolean rows) blocks that together cover it."""
+    packed = np.zeros((height, (width // 64 + 1) * 8), dtype=np.uint8)
+    for top, bits in blocks:
+        packed[top:top + len(bits), :(width + 7) // 8] = np.packbits(bits, axis=1)
     return packed.view(">u8").astype(np.uint64)
 
 
+def _bytes(words: np.ndarray) -> np.ndarray:
+    """The bytes of packed rows in column order: bit 7 - c % 8 of byte
+    c // 8 of a row is column c, as np.packbits lays them out."""
+    return words.astype(">u8", copy=False).view(np.uint8)
+
+
 def _unpack(words: np.ndarray, width: int) -> np.ndarray:
-    packed = words.astype(">u8", copy=False).view(np.uint8)
-    return np.unpackbits(packed, axis=1, count=width).view(np.bool_)
+    return np.unpackbits(_bytes(words), axis=1, count=width).view(np.bool_)
+
+
+def _shift_right(flat: np.ndarray) -> np.ndarray:
+    """Packed rows ``flat`` moved one column to the right, as a new array:
+    each word's low bit carries into the next word's high bit, and the first
+    word takes in background."""
+    shifted = flat >> _ONE
+    shifted[1:] |= flat[:-1] << _LAST
+    return shifted
 
 
 def _step(words: np.ndarray, combine) -> np.ndarray:
@@ -178,8 +232,7 @@ def _step(words: np.ndarray, combine) -> np.ndarray:
     rows above and below. The top and bottom rows see only their one
     neighbouring row; the caller handles what lies beyond them."""
     flat = words.reshape(-1)
-    left = flat >> _ONE
-    left[1:] |= flat[:-1] << _LAST
+    left = _shift_right(flat)
     right = flat << _ONE
     right[:-1] |= flat[1:] >> _LAST
     combine(left, flat, out=left)
@@ -199,16 +252,15 @@ def morph_open(mask: BinaryMask, radius: int = 1) -> BinaryMask:
 
     Out-of-image pixels count as background. The square element is the 3x3
     one applied ``radius`` times, so the opening is ``radius`` 3x3 erosions
-    and then ``radius`` 3x3 dilations, each on bit-packed rows. The result is
+    and then ``radius`` 3x3 dilations, each on the packed rows. The result is
     a fresh mask; the input is not modified.
     """
     if radius < 1:
         raise ConfigError(f"opening radius must be >= 1, got {radius}")
-    h, w = mask.bits.shape
-    if 2 * radius + 1 > min(h, w):
+    words, w = mask.words, mask.width
+    if 2 * radius + 1 > min(mask.height, w):
         # the element fits nowhere inside the image, so every pixel erodes
-        return BinaryMask(np.zeros((h, w), dtype=bool))
-    words = _pack(mask.bits)
+        return BinaryMask.packed(np.zeros_like(words), w)
     for _ in range(radius):
         words = _step(words, np.bitwise_and)
         words[0] = 0
@@ -217,4 +269,4 @@ def morph_open(mask: BinaryMask, radius: int = 1) -> BinaryMask:
     # dilations never spread past its edge and the pad bits stay zero
     for _ in range(radius):
         words = _step(words, np.bitwise_or)
-    return BinaryMask(_unpack(words, w))
+    return BinaryMask.packed(words, w)

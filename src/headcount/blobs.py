@@ -1,6 +1,8 @@
 """Connected-component blob extraction and head-shaped keypoint filtering.
 
-Foreground is split into horizontal row runs. A vectorized overlap search
+Foreground is split into horizontal row runs, whose starts and ends the
+mask reads from its packed rows (``BinaryMask.run_edges``), so labeling
+never builds a per-pixel array. A vectorized overlap search
 (two binary searches per run over keyed run starts and ends) pairs every run
 with the runs it touches in the row above, and rounds of root hooking and
 pointer jumping merge those pairs into connected components, with no Python
@@ -111,30 +113,21 @@ def check_connectivity(connectivity: int) -> None:
 def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabels:
     """Label connected foreground regions.
 
-    The mask is split into horizontal runs. A vectorized overlap search finds
-    every pair of runs in adjacent rows that touch under 8-connectivity: with
-    each run keyed by ``row*(w+2) + column``, two binary searches give the
-    contiguous range of runs in the row above that a run touches. The pairs
-    (at 4-connectivity, those that share a column) are resolved in rounds:
-    the larger of each disagreeing pair's roots is hooked under the smaller,
-    and pointer jumping flattens every tree, until both runs of every pair
-    share a root. Each root is then its component's lowest run index, so
+    The mask is split into horizontal runs, read from its packed rows by
+    ``BinaryMask.run_edges``. A vectorized overlap search finds every pair of
+    runs in adjacent rows that touch under 8-connectivity: with each run
+    start and exclusive end keyed by ``row*stride + column``, at least
+    ``w+1`` keys per row, two binary searches give the contiguous range of
+    runs in the row above that a run touches. The pairs (at 4-connectivity,
+    those that share a column) are resolved in rounds: the larger of each
+    disagreeing pair's roots is hooked under the smaller, and pointer
+    jumping flattens every tree, until both runs of every pair share a root. Each root is then its component's lowest run index, so
     numbering the roots in run order numbers components by the raster
     position of their first run. Returns the run table and the pairs inside
     components; no per-pixel image is built.
     """
     check_connectivity(connectivity)
-    bits = mask.bits
-    h, w = bits.shape
-
-    # two background columns after each row: the value changes between
-    # neighbouring columns then have w+2 slots per row, so the flat index of
-    # each change is already its key row*(w+2) + column. Each row's changes
-    # alternate: run start, exclusive run end, ...
-    stride = w + 2
-    ext = np.zeros((h, w + 3), dtype=bool)
-    ext[:, 1:w + 1] = bits
-    keys = np.flatnonzero(ext[:, 1:] != ext[:, :-1])
+    keys, stride = mask.run_edges()
     skey, ekey = keys[0::2], keys[1::2]
     srow = skey // stride
     row_start = srow * stride
@@ -144,8 +137,9 @@ def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabels
 
     # run i in the row above touches run j when scol[i] <= ecol[j] and
     # scol[j] <= ecol[i]; a row's runs are sorted and disjoint, so the runs j
-    # touches are contiguous. A query column lies in [-1, w+1], so every
-    # query key stays inside the row above.
+    # touches are contiguous. A query column lies in [-1, w+1] and a row has
+    # stride >= w+1 slots, so no query reaches a start in the run's own row or
+    # an end two rows up.
     first = np.searchsorted(ekey, skey - stride - 1, side="right")
     stop = np.searchsorted(skey, ekey - stride + 1, side="left")
     n_above = np.maximum(stop - first, 0)

@@ -4,8 +4,9 @@ Everything here is deliberately written with different algorithms than the
 package (flood fill instead of run-based union-find, brute-force window scans
 instead of vectorized morphology, string search instead of a per-frame state
 machine, full-frame scans and every-pixel hulls instead of run tables, a
-byte-by-byte scanner instead of a compiled pattern) so agreement between the
-two is meaningful.
+byte-by-byte scanner instead of a compiled pattern, value changes along a
+padded boolean copy instead of packed words) so agreement between the two is
+meaningful.
 """
 
 import math
@@ -216,6 +217,19 @@ def hull_pixel_count(points: list) -> int:
         twice_area += x1 * y2 - x2 * y1
         boundary += math.gcd(abs(x2 - x1), abs(y2 - y1))
     return (abs(twice_area) + boundary + 2) // 2
+
+
+def row_runs(bits: np.ndarray):
+    """Every horizontal run of a boolean image, in raster order, as (rows,
+    start columns, exclusive end columns): the value changes along a copy
+    with one background column before and two after each row."""
+    h, w = bits.shape
+    stride = w + 2
+    ext = np.zeros((h, w + 3), dtype=bool)
+    ext[:, 1:w + 1] = bits
+    keys = np.flatnonzero(ext[:, 1:] != ext[:, :-1])
+    srow = keys[0::2] // stride
+    return srow, keys[0::2] - srow * stride, keys[1::2] - srow * stride
 
 
 def label_image(labels, shape: tuple[int, int]) -> np.ndarray:

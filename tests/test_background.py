@@ -259,10 +259,10 @@ def test_subtract_masks_share_no_memory_and_frames_stay_untouched(rng):
     model = BackgroundModel(first, threshold=20.0)
     kept = [f.pixels.copy() for f in (second, third)]
     model.update(second)
-    mask_a = model.subtract(second).bits
+    mask_a = model.subtract(second).words
     snapshot = mask_a.copy()
     model.update(third)
-    mask_b = model.subtract(third).bits
+    mask_b = model.subtract(third).words
     owned = (model.estimate, model._scratch)
     for mask in (mask_a, mask_b):
         for array in owned:
@@ -277,14 +277,16 @@ def test_subtract_masks_share_no_memory_and_frames_stay_untouched(rng):
 def test_update_and_subtract_allocate_no_float_frame(rng):
     # both steps work in the model's one-block scratch buffer: update may
     # allocate no more than numpy's fixed-size casting buffer (64 kB), and
-    # subtract that beside its one-byte-per-pixel mask
+    # subtract that beside two arrays the size of its packed mask (11 words
+    # per 640-pixel row), one of bytes and one of words; a block of booleans
+    # is smaller than the buffer
     first, frame = noise_frames(rng, 2, shape=(480, 640))
     model = BackgroundModel(first)
     buffer = 64 * 1024
     tracemalloc.start()
     try:
         for step, allowed in ((model.update, buffer),
-                              (model.subtract, 480 * 640 + buffer)):
+                              (model.subtract, 2 * 480 * 11 * 8 + buffer)):
             tracemalloc.reset_peak()
             base, _ = tracemalloc.get_traced_memory()
             step(frame)
@@ -292,6 +294,66 @@ def test_update_and_subtract_allocate_no_float_frame(rng):
             assert peak - base < allowed, step.__name__
     finally:
         tracemalloc.stop()
+
+
+def packed_columns(mask):
+    """Every bit of the mask's packed rows, one column each: word k of a row
+    holds columns 64k to 64k+63 from its highest bit down."""
+    return np.unpackbits(mask.words.astype(">u8").view(np.uint8), axis=1).view(bool)
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 127, 128, 129])
+def test_mask_bits_round_trip_through_packed_rows(rng, width):
+    # rows of 63 and 127 columns end in one pad bit, 64 and 128 in a pad word
+    for height in (1, 5):
+        for bits in _open_masks(rng, height, width).values():
+            mask = BinaryMask(bits)
+            assert mask.words.dtype == np.uint64
+            assert mask.words.shape == (height, width // 64 + 1)
+            assert (mask.height, mask.width) == (height, width)
+            columns = packed_columns(mask)
+            assert np.array_equal(columns[:, :width], bits)
+            assert not columns[:, width:].any()
+            assert np.array_equal(mask.bits, bits)
+            assert mask.bits.dtype == np.bool_
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 127, 128, 129])
+def test_subtract_and_open_leave_every_pad_bit_zero(rng, width):
+    shape = (9, width)
+    model = BackgroundModel(uniform_frame(width, 9, value=0), threshold=20.0)
+    frames = [uniform_frame(width, 9, value=255),
+              make_frame(rng.integers(0, 256, shape)),
+              make_frame(np.where(rng.random(shape) < 0.9, 255, 0))]
+    for frame in frames:
+        mask = model.subtract(frame)
+        assert not packed_columns(mask)[:, width:].any()
+        expected = subtract_bruteforce(frame.pixels, model.estimate, 20.0)
+        assert np.array_equal(mask.bits, expected)
+        for radius in (1, 2):
+            opened = morph_open(mask, radius)
+            assert opened.words.shape == mask.words.shape
+            assert not packed_columns(opened)[:, width:].any()
+    # a full mask stays full: every pixel lies in some square inside it
+    assert morph_open(model.subtract(frames[0])).bits.all()
+
+
+def test_mask_bits_are_read_only(rng):
+    # the words are a mask's one stored form, so a write into its boolean
+    # view must fail rather than never reach labeling
+    bits = rng.random((6, 70)) < 0.5
+    first, frame = noise_frames(rng, 2, shape=(6, 70))
+    model = BackgroundModel(first)
+    for mask in (BinaryMask(bits), model.subtract(frame), morph_open(BinaryMask(bits))):
+        view = mask.bits
+        with pytest.raises(ValueError):
+            view[0, 0] = True
+        with pytest.raises(ValueError):
+            view |= True
+    # the mask packed its input and keeps no reference to it
+    mask, kept = BinaryMask(bits), bits.copy()
+    bits[:] = True
+    assert np.array_equal(mask.bits, kept)
 
 
 def test_open_removes_isolated_pixel():

@@ -10,7 +10,7 @@ from headcount.errors import ConfigError, DegenerateBlob, NotFound
 
 import headcount.blobs
 from oracles import (crofton_perimeter, disk_mask, disk_pixel_count, flood_fill_labels,
-                     hull_pixel_count, label_image, measure_fullframe)
+                     hull_pixel_count, label_image, measure_fullframe, row_runs)
 
 
 def mask_of(bits):
@@ -144,11 +144,18 @@ def test_label_matches_flood_fill_on_stress_shapes(shape, conn):
     assert np.array_equal(label_image(got, bits.shape), expected)
 
 
+# widths on both sides of the 64-column words of the packed rows: rows of
+# 63 and 127 columns end in one pad bit, rows of 64 and 128 in a whole pad word
+WORD_WIDTHS = [63, 64, 65, 127, 128, 129]
+
+
 @pytest.mark.parametrize("conn", [4, 8])
-@pytest.mark.parametrize("width", [1, 2, 3, 9])
+@pytest.mark.parametrize("width", [1, 2, 3, 9] + WORD_WIDTHS)
 def test_label_matches_flood_fill_on_runs_ending_in_the_last_column(rng, width, conn):
-    # a run ending in column w-1 has the largest end key of its row, right
-    # below the next row's first key; on masks one or two columns wide
+    # a run ending in column w-1 ends, exclusively, in the row's first pad
+    # bit: with nw = w // 64 + 1 words per row its key row*64*nw + w is the
+    # largest of its row, and at widths 63 and 127 it lies right below the
+    # next row's first key (row+1)*64*nw. On masks one or two columns wide
     # every run touches an edge, and a full mask is one run per row
     for density in (0.2, 0.5, 0.8, 1.0):
         bits = rng.random((40, width)) < density
@@ -157,6 +164,19 @@ def test_label_matches_flood_fill_on_runs_ending_in_the_last_column(rng, width, 
         expected = flood_fill_labels(bits, conn)
         assert got.count == int(expected.max())
         assert np.array_equal(label_image(got, bits.shape), expected)
+
+
+@pytest.mark.parametrize("width", [1, 2] + WORD_WIDTHS)
+def test_run_table_matches_the_padded_copy_oracle(rng, width):
+    for height in (1, 2, 17):
+        for density in (0.0, 0.05, 0.5, 0.95, 1.0):
+            bits = rng.random((height, width)) < density
+            bits[rng.random(height) < 0.3, 0] = True
+            for conn in (4, 8):
+                got = label_components(mask_of(bits), conn)
+                for column, want in zip((got.srow, got.scol, got.ecol), row_runs(bits)):
+                    assert column.dtype == want.dtype
+                    assert np.array_equal(column, want)
 
 
 def test_label_stress_shapes_have_the_intended_components():
