@@ -10,8 +10,8 @@ from .background import BackgroundModel, BinaryMask, morph_open
 from .blobs import (BlobFilterParams, BlobKeypoint, BlobMeasurements,
                     ComponentLabels, circularity, convexity, detect_blobs,
                     inertia_ratio, label_components, measure)
-from .counting import (Counters, CrossEvent, Direction, LinePair, LineZoneState,
-                       Zone, advance, apply_event, classify_zone)
+from .counting import (Counters, CrossEvent, Direction, LinePair, Zone, advance,
+                       apply_event, classify_zone)
 from .frame_io import (Frame, SequenceSpec, circle_points, load_frame,
                        open_sequence, write_annotated, write_frame)
 from .metrics import CountReport, GroundTruth, accuracy_pct
@@ -26,7 +26,7 @@ __all__ = [
     "ActorSpec", "Assignment", "BackgroundModel", "BinaryMask",
     "BlobFilterParams", "BlobKeypoint", "BlobMeasurements", "ComponentLabels",
     "CountReport", "Counters", "CountingPipeline", "CrossEvent", "Direction",
-    "Frame", "GroundTruth", "LinePair", "LineZoneState", "PipelineConfig",
+    "Frame", "GroundTruth", "LinePair", "PipelineConfig",
     "SceneSpec", "SequenceSpec", "Track", "Tracker", "TrackerConfig", "Zone",
     "accuracy_pct", "advance", "apply_event", "associate",
     "circle_points", "circularity", "classify_zone", "convexity",

@@ -91,14 +91,14 @@ class BlobFilterParams:
     max_area: Optional[int] = None
     min_circularity: float = 0.5
     min_convexity: float = 0.7
-    min_inertia_ratio: float = 0.3
+    min_inertia: float = 0.3
 
     def __post_init__(self):
         if self.min_area < 1:
             raise ConfigError(f"min_area must be >= 1, got {self.min_area}")
         if self.max_area is not None and self.max_area < self.min_area:
             raise ConfigError("max_area must be >= min_area")
-        for name in ("min_circularity", "min_convexity", "min_inertia_ratio"):
+        for name in ("min_circularity", "min_convexity", "min_inertia"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0,1], got {v}")
@@ -354,7 +354,7 @@ def detect_blobs(mask: BinaryMask, params: Optional[BlobFilterParams] = None,
         try:  # the first score below its bound rejects; undefined ones too
             if (circularity(m) < params.min_circularity
                     or convexity(m) < params.min_convexity
-                    or inertia_ratio(m) < params.min_inertia_ratio):
+                    or inertia_ratio(m) < params.min_inertia):
                 continue
         except DegenerateBlob:
             continue

@@ -54,6 +54,18 @@ def _load_json(path, from_dict=dict):
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _reader(from_dict):
+    """``from_dict`` that also reads the document's ``params``, if any, as
+    ``count`` writes them: a report's, or those of a truth document that is
+    a report."""
+    def read(doc):
+        result = from_dict(doc)
+        if doc.get("params"):
+            PipelineConfig.from_params(doc["params"])
+        return result
+    return read
+
+
 def _build_config(args) -> PipelineConfig:
     """The --config document, overlaid with every flag given, as a config."""
     params = _load_json(args.config) if args.config else {}
@@ -66,7 +78,7 @@ def _build_config(args) -> PipelineConfig:
 
 def cmd_count(args) -> int:
     config = _build_config(args)
-    truth = _load_json(args.truth, GroundTruth.from_dict) if args.truth else None
+    truth = _load_json(args.truth, _reader(GroundTruth.from_dict)) if args.truth else None
 
     spec = SequenceSpec(source=Path(args.input))
     if args.raw:
@@ -116,13 +128,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    def read_report(doc) -> CountReport:  # its params, if any, as count writes them
-        report = CountReport.from_dict(doc)
-        if report.params:
-            PipelineConfig.from_params(report.params)
-        return report
-    report = _load_json(args.report, read_report)
-    truth = _load_json(args.truth, GroundTruth.from_dict)
+    report = _load_json(args.report, _reader(CountReport.from_dict))
+    truth = _load_json(args.truth, _reader(GroundTruth.from_dict))
     accuracies = CountReport(report.counters, ground_truth=truth).accuracies()
     print(json.dumps({key: round(value, 2) for key, value in accuracies.items()},
                      sort_keys=True))
@@ -147,7 +154,7 @@ def _flag_type(kind: type):
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lines", help="counting rows as Y1,Y2 (Y1 above Y2)")
-    for key, (_, _, kind, text) in PARAMS.items():
+    for key, (_, kind, text) in PARAMS.items():
         flag = "--" + key.replace("_", "-")
         if kind is bool:
             p.add_argument(flag, action="store_const", const=True, help=text)

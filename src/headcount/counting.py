@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ConfigError, json_value, quote
+
+if TYPE_CHECKING:  # tracking imports Zone from here
+    from .tracking import Track
 
 
 class Zone(str, enum.Enum):
@@ -69,14 +72,6 @@ class LinePair:
             )
 
 
-@dataclass
-class LineZoneState:
-    """Per-track traversal state: the zone where the track started, or where
-    it last scored."""
-
-    origin_zone: Optional[Zone] = None
-
-
 @dataclass(frozen=True)
 class CrossEvent:
     frame: int
@@ -107,25 +102,25 @@ def classify_zone(centroid: tuple[float, float], lines: LinePair) -> Zone:
     return Zone.M
 
 
-def advance(state: LineZoneState, centroid: tuple[float, float], lines: LinePair,
-            frame: int, track_id: int) -> Optional[CrossEvent]:
-    """Feed one observed centroid into a track's traversal state.
+def advance(track: "Track", lines: LinePair, frame: int) -> Optional[CrossEvent]:
+    """Feed a track's position, observed on ``frame``, into its traversal.
 
-    Returns a CrossEvent on the frame the far zone is first reached (zone
-    jumps that skip M still score), after which the origin resets so each
-    traversal counts exactly once. Mutates ``state`` in place.
+    The first position sets ``track.origin_zone``. Returns a CrossEvent on the
+    frame the far zone is first reached (zone jumps that skip M still
+    score), after which the origin resets so each traversal counts exactly
+    once. Mutates ``track.origin_zone`` in place.
     """
-    zone = classify_zone(centroid, lines)
-    if state.origin_zone is None:
-        state.origin_zone = zone
+    zone = classify_zone(track.position, lines)
+    if track.origin_zone is None:
+        track.origin_zone = zone
 
     event = None
-    if state.origin_zone is Zone.A and zone is Zone.B:
-        event = CrossEvent(frame=frame, track_id=track_id, direction=Direction.IN)
-    elif state.origin_zone is Zone.B and zone is Zone.A:
-        event = CrossEvent(frame=frame, track_id=track_id, direction=Direction.OUT)
+    if track.origin_zone is Zone.A and zone is Zone.B:
+        event = CrossEvent(frame=frame, track_id=track.id, direction=Direction.IN)
+    elif track.origin_zone is Zone.B and zone is Zone.A:
+        event = CrossEvent(frame=frame, track_id=track.id, direction=Direction.OUT)
     if event is not None:
-        state.origin_zone = zone
+        track.origin_zone = zone
     return event
 
 

@@ -51,8 +51,12 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "GroundTruth":
-        """The truth in ``doc``, which may hold the other keys of a report."""
-        return cls(*_counts(json_object("truth", doc, _KEYS), cls.KEYS))
+        """The truth in ``doc``, which may be a report holding its truth: a
+        document with any other report key must be a valid report."""
+        truth = cls(*_counts(json_object("truth", doc, _KEYS), cls.KEYS))
+        if set(doc) - set(cls.KEYS):
+            CountReport.from_dict(doc)
+        return truth
 
 
 def accuracy_pct(count: int, true_count: int) -> float:
@@ -123,8 +127,8 @@ class CountReport:
         events = json_value("events", doc.get("events", []), list)
         params = json_value("params", doc.get("params", {}), dict)
         has_truth = any(key in doc for key in (*GroundTruth.KEYS, *_ACCURACIES))
-        report = cls(Counters(n_in, n_out), [_event(e) for e in events],
-                     GroundTruth.from_dict(doc) if has_truth else None, params)
+        truth = GroundTruth(*_counts(doc, GroundTruth.KEYS)) if has_truth else None
+        report = cls(Counters(n_in, n_out), [_event(e) for e in events], truth, params)
         if {key: doc[key] for key in _ACCURACIES if key in doc} != report.accuracies():
             raise ConfigError(f"stored accuracies differ from the derived "
                               f"{report.accuracies()}")
@@ -135,6 +139,9 @@ def _event(doc) -> CrossEvent:
     doc = json_object("event", doc, ("frame", "track_id", "direction"))
     if doc.get("direction") not in ("IN", "OUT"):
         raise ConfigError("each event must be an object with direction IN or OUT")
-    return CrossEvent(json_value("event frame", doc.get("frame"), int),
-                      json_value("event track_id", doc.get("track_id"), int),
-                      Direction(doc["direction"]))
+    frame = json_value("event frame", doc.get("frame"), int)
+    track_id = json_value("event track_id", doc.get("track_id"), int)
+    if min(frame, track_id) < 0:  # frame indices and track ids count from 0
+        raise ConfigError(f"event frame and track_id must be >= 0, "
+                          f"got {frame} and {track_id}")
+    return CrossEvent(frame, track_id, Direction(doc["direction"]))

@@ -23,31 +23,24 @@ MIN_FRAME_SIDE = 8
 
 
 # The pipeline's parameters besides ``lines``, each under one flat key that
-# names its ``count`` flag (``--min-area``), its ``--config`` key and its entry
-# in the report's ``params``: key -> (section of PipelineConfig, or None for a
-# field of its own; field name; JSON type; help text). Defaults live on the
-# dataclass fields only.
-PARAMS: dict[str, tuple[Optional[str], str, type, str]] = {
-    "invert_direction": (None, "invert_direction", bool,
-                         "count downward crossings as OUT instead of IN"),
-    "alpha": (None, "alpha", float, "background learning rate in (0,1)"),
-    "threshold": (None, "threshold", float, "foreground intensity threshold"),
-    "warmup": (None, "warmup", int, "frames used only to settle the background"),
-    "morph_radius": (None, "morph_radius", int,
-                     "opening radius for mask cleanup (0 disables)"),
-    "connectivity": (None, "connectivity", int, "blob connectivity"),
-    "min_area": ("blob", "min_area", int, "minimum blob area"),
-    "max_area": ("blob", "max_area", int, "maximum blob area"),
-    "min_circularity": ("blob", "min_circularity", float,
-                        "lower bound on 4*pi*area/perimeter^2"),
-    "min_convexity": ("blob", "min_convexity", float,
-                      "lower bound on area/hull_area"),
-    "min_inertia": ("blob", "min_inertia_ratio", float,
-                    "lower bound on the principal-moment ratio"),
-    "max_match_dist": ("tracker", "max_match_distance", float,
-                       "matching gate in pixels"),
-    "max_missed": ("tracker", "max_missed", int,
-                   "frames a track may go unseen before expiring"),
+# names its ``count`` flag (``--min-area``), its ``--config`` key, its entry
+# in the report's ``params`` and its field of PipelineConfig or of a section
+# of it: key -> (section, or None for a field of its own; JSON type; help
+# text). Defaults live on the dataclass fields only.
+PARAMS: dict[str, tuple[Optional[str], type, str]] = {
+    "invert_direction": (None, bool, "count downward crossings as OUT instead of IN"),
+    "alpha": (None, float, "background learning rate in (0,1)"),
+    "threshold": (None, float, "foreground intensity threshold"),
+    "warmup": (None, int, "frames used only to settle the background"),
+    "morph_radius": (None, int, "opening radius for mask cleanup (0 disables)"),
+    "connectivity": (None, int, "blob connectivity"),
+    "min_area": ("blob", int, "minimum blob area"),
+    "max_area": ("blob", int, "maximum blob area"),
+    "min_circularity": ("blob", float, "lower bound on 4*pi*area/perimeter^2"),
+    "min_convexity": ("blob", float, "lower bound on area/hull_area"),
+    "min_inertia": ("blob", float, "lower bound on the principal-moment ratio"),
+    "max_match_dist": ("tracker", float, "matching gate in pixels"),
+    "max_missed": ("tracker", int, "frames a track may go unseen before expiring"),
 }
 
 
@@ -78,9 +71,9 @@ class PipelineConfig:
         """Flat snapshot of every effective parameter, for the report."""
         params: dict[str, Any] = {"lines": [self.lines.line_in_y,
                                             self.lines.line_out_y]}
-        for key, (section, name, _, _) in PARAMS.items():
+        for key, (section, _, _) in PARAMS.items():
             owner = self if section is None else getattr(self, section)
-            params[key] = getattr(owner, name)
+            params[key] = getattr(owner, key)
         return params
 
     @classmethod
@@ -92,11 +85,11 @@ class PipelineConfig:
             raise ConfigError("counting lines are required (--lines Y1,Y2)")
         sections = {None: cls, "blob": BlobFilterParams, "tracker": TrackerConfig}
         kwargs: dict = {section: {} for section in sections}
-        for key, (section, name, kind, _) in PARAMS.items():
+        for key, (section, kind, _) in PARAMS.items():
             if key in doc:
-                default = sections[section].__dataclass_fields__[name].default
-                kwargs[section][name] = json_value(key, doc[key], kind,
-                                                   nullable=default is None)
+                default = sections[section].__dataclass_fields__[key].default
+                kwargs[section][key] = json_value(key, doc[key], kind,
+                                                  nullable=default is None)
         return cls(LinePair.from_json(doc["lines"]),
                    blob=BlobFilterParams(**kwargs["blob"]),
                    tracker=TrackerConfig(**kwargs["tracker"]), **kwargs[None])
@@ -143,12 +136,11 @@ class CountingPipeline:
             mask = morph_open(mask, self.config.morph_radius)
         keypoints = detect_blobs(mask, self.config.blob, self.config.connectivity)
 
-        self._tracker.step(keypoints, frame.index)
+        self._tracker.step(keypoints)
         for track in self._tracker.tracks:
-            if track.last_frame != frame.index:
+            if track.missed:
                 continue  # not observed this frame, no new position to classify
-            event = advance(track.zone_state, track.position, self.config.lines,
-                            frame.index, track.id)
+            event = advance(track, self.config.lines, frame.index)
             if event is None:
                 continue
             if self.config.invert_direction:

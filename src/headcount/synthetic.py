@@ -17,10 +17,11 @@ from typing import Any, Iterator, Optional
 
 import numpy as np
 
-from .counting import Counters, CrossEvent, LinePair, LineZoneState, advance, apply_event
+from .counting import Counters, CrossEvent, LinePair, advance, apply_event
 from .errors import ConfigError, json_object, json_value, quote
 from .frame_io import Frame
 from .metrics import GroundTruth
+from .tracking import Track
 
 
 @dataclass
@@ -158,8 +159,9 @@ def render_scene(spec: SceneSpec) -> Iterator[Frame]:
 def ground_truth_events(spec: SceneSpec,
                         lines: LinePair) -> tuple[GroundTruth, list[CrossEvent]]:
     """Exact crossing truth: each actor's analytic disk centers, frame by
-    frame, fed to ``counting.advance`` from a fresh traversal state, and the
-    CrossEvents it returns tallied with ``apply_event``, as in the pipeline.
+    frame, fed to ``counting.advance`` as one perfectly tracked ``Track``,
+    and the CrossEvents it returns tallied with ``apply_event``, as in the
+    pipeline.
 
     Returns the GroundTruth and those events, each with ``track_id`` the
     actor's index in ``spec.actors``, ordered by frame and then that index.
@@ -169,10 +171,11 @@ def ground_truth_events(spec: SceneSpec,
     events: list[CrossEvent] = []
     counters = Counters()
     for index, actor in enumerate(spec.actors):
-        state = LineZoneState()
+        track = Track(index, actor.start)
         last = min(actor.despawn_frame or spec.frames, spec.frames)
         for f in range(actor.spawn_frame, last):
-            event = advance(state, actor.position_at(f), lines, f, index)
+            track.position = actor.position_at(f)
+            event = advance(track, lines, f)
             if event is not None:
                 apply_event(counters, event)
                 events.append(event)

@@ -10,37 +10,38 @@ keeps the tracker a pure function of the last centroids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 from .blobs import BlobKeypoint
-from .counting import LineZoneState
-from .errors import ConfigError, OrderError
+from .counting import Zone
+from .errors import ConfigError
 
 
 @dataclass
 class TrackerConfig:
-    max_match_distance: float = 50.0
+    max_match_dist: float = 50.0
     max_missed: int = 5
 
     def __post_init__(self):
         # nan would pass a <= 0 test and then match nothing
-        if not (math.isfinite(self.max_match_distance) and self.max_match_distance > 0):
-            raise ConfigError(f"max_match_distance must be finite and > 0, "
-                              f"got {self.max_match_distance}")
+        if not (math.isfinite(self.max_match_dist) and self.max_match_dist > 0):
+            raise ConfigError(f"max_match_dist must be finite and > 0, "
+                              f"got {self.max_match_dist}")
         if self.max_missed < 0:
             raise ConfigError("max_missed must be >= 0")
 
 
 @dataclass(eq=False)
 class Track:
-    """One tracked object: id, last observation (frame and centroid), frames
-    missed since, and line-zone state."""
+    """One tracked object: id, last observed centroid, frames missed since,
+    and the zone its traversal started in, or last scored in, as
+    ``counting.advance`` sets it (None until then)."""
 
     id: int
-    last_frame: int
     position: tuple[float, float]
     missed: int = 0
-    zone_state: LineZoneState = field(default_factory=LineZoneState)
+    origin_zone: Optional[Zone] = None
 
 
 @dataclass
@@ -65,7 +66,7 @@ def associate(tracks: list[Track], keypoints: list[BlobKeypoint],
         tx, ty = track.position
         for k, kp in enumerate(keypoints):
             d = math.hypot(kp.centroid[0] - tx, kp.centroid[1] - ty)
-            if d <= cfg.max_match_distance:
+            if d <= cfg.max_match_dist:
                 candidates.append((d, track.id, k))
     candidates.sort()
 
@@ -92,25 +93,18 @@ class Tracker:
         self.tracks: list[Track] = []
         self._next_id = 0
 
-    def step(self, keypoints: list[BlobKeypoint],
-             frame_index: int) -> tuple[list[int], list[int]]:
+    def step(self, keypoints: list[BlobKeypoint]) -> tuple[list[int], list[int]]:
         """Advance one frame: match, age out, and spawn tracks.
 
         Returns (spawned ids, expired ids). Matched tracks move to the
         keypoint centroid; unmatched tracks age and are dropped once missed
         exceeds max_missed; unmatched keypoints start fresh tracks with ids
-        that are never reused.
+        that are never reused. So the tracks observed on this frame are
+        those with missed 0.
         """
-        for track in self.tracks:
-            if frame_index <= track.last_frame:
-                raise OrderError(
-                    f"frame {frame_index} not after track {track.id}'s "
-                    f"last frame {track.last_frame}"
-                )
-
         assignment = associate(self.tracks, keypoints, self.cfg)
         for track, k in assignment.matches:
-            track.last_frame, track.position = frame_index, keypoints[k].centroid
+            track.position = keypoints[k].centroid
             track.missed = 0
 
         expired = []
@@ -123,7 +117,7 @@ class Tracker:
 
         spawned = []
         for k in assignment.unmatched_keypoints:
-            track = Track(self._next_id, frame_index, keypoints[k].centroid)
+            track = Track(self._next_id, keypoints[k].centroid)
             self._next_id += 1
             self.tracks.append(track)
             spawned.append(track.id)

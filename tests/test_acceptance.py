@@ -15,7 +15,7 @@ from headcount import (ActorSpec, BinaryMask, CountingPipeline, LinePair,
 from headcount.background import BackgroundModel
 from headcount.blobs import circularity, convexity
 from headcount.cli import main
-from headcount.counting import LineZoneState
+from headcount.tracking import Track
 
 from conftest import uniform_frame
 from oracles import disk_mask, flood_fill_labels, label_image, scan_zone_events
@@ -171,12 +171,12 @@ def test_criterion_07_line_semantics_oracle():
         for _ in range(10_000):
             n = int(rng.integers(1, 40))
             zones = "".join(rng.choice(list("AMB"), n))
-            state = LineZoneState()
+            track = Track(0, (0.0, 0.0))
             got = []
             for i, z in enumerate(zones):
                 ys = zone_ys[z]
-                y = ys[int(rng.integers(len(ys)))]
-                event = advance(state, (0.0, y), lines, i, 0)
+                track.position = (0.0, ys[int(rng.integers(len(ys)))])
+                event = advance(track, lines, i)
                 if event is not None:
                     got.append((event.frame, event.direction.value))
             assert got == scan_zone_events(zones)

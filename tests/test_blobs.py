@@ -631,7 +631,7 @@ def test_inertia_ratio_single_pixel_degenerate():
 
 def relaxed(**overrides):
     params = dict(min_area=1, max_area=None, min_circularity=0.0,
-                  min_convexity=0.0, min_inertia_ratio=0.0)
+                  min_convexity=0.0, min_inertia=0.0)
     params.update(overrides)
     return BlobFilterParams(**params)
 
@@ -652,7 +652,7 @@ def test_detect_inertia_filter_drops_bar():
     yy, xx = np.ogrid[:40, :80]
     bits = (xx - 15) ** 2 + (yy - 20) ** 2 <= 100
     bits[19:21, 45:75] = True
-    keypoints = detect_blobs(BinaryMask(bits), relaxed(min_inertia_ratio=0.3))
+    keypoints = detect_blobs(BinaryMask(bits), relaxed(min_inertia=0.3))
     assert len(keypoints) == 1
     assert keypoints[0].centroid[0] == pytest.approx(15.0, abs=0.1)
 
@@ -687,7 +687,7 @@ def test_detect_filters_are_monotone(rng):
     mask = BinaryMask(bits)
     baseline = {kp.centroid for kp in detect_blobs(mask, relaxed())}
     for tighter in (relaxed(min_area=5), relaxed(min_circularity=0.4),
-                    relaxed(min_convexity=0.6), relaxed(min_inertia_ratio=0.4),
+                    relaxed(min_convexity=0.6), relaxed(min_inertia=0.4),
                     relaxed(max_area=40)):
         subset = {kp.centroid for kp in detect_blobs(mask, tighter)}
         assert subset <= baseline
@@ -722,7 +722,7 @@ def test_filter_params_validation():
 
 
 @pytest.mark.parametrize("name", ["min_circularity", "min_convexity",
-                                  "min_inertia_ratio"])
+                                  "min_inertia"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_filter_params_reject_non_finite(name, value):
     with pytest.raises(ConfigError):

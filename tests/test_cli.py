@@ -384,7 +384,8 @@ def test_count_config_integer_for_float_key_accepted(tmp_path, capsys):
     assert json.loads(out)["params"]["threshold"] == 30.0
 
 
-# one value outside the valid range for every flag that takes a value
+# one value outside the valid range for every flag that takes a value, and
+# the key its error names first, which is also its config field's name
 OUT_OF_RANGE = [
     ("--alpha", "1", "alpha"),
     ("--threshold", "0", "threshold"),
@@ -411,7 +412,7 @@ README_DEFAULTS = {
 
 
 def test_out_of_range_cases_cover_every_valued_key():
-    valued = {key for key, (_, _, kind, _) in PARAMS.items() if kind is not bool}
+    valued = {key for key, (_, kind, _) in PARAMS.items() if kind is not bool}
     assert {key for _, _, key in OUT_OF_RANGE} == valued
 
 
@@ -422,8 +423,7 @@ def test_count_out_of_range_flag_is_config_error(tmp_path, capsys, flag, value, 
                                f"{flag}={value}")
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
-    assert key in err
+    assert err.startswith(f"error: {key} ")
 
 
 def test_count_default_params_match_readme(tmp_path, capsys):
@@ -739,6 +739,37 @@ def test_report_reads_as_truth(tmp_path, capsys):
     code, out, _ = run_count(capsys, "--input", str(out_dir), "--truth", path, *COUNT_FLAGS)
     assert code == 0
     assert json.loads(out) == report
+
+
+# a truth document that holds report keys must be a report as eval reads it:
+# how to break the report count writes, and what the error must name
+BAD_TRUTH_REPORTS = {
+    "garbage": (lambda doc: {"true_in": 1, "true_out": 0, "true_total": 1,
+                             "in": "garbage", "events": "x", "params": {"alpah": 1}},
+                "missing keys ['out', 'total']"),
+    "params_key": (lambda doc: dict(doc, params=misspelled(doc["params"], "alpha",
+                                                           "alpah")), "alpah"),
+    "negative_event_frame": (lambda doc: dict(doc, events=[
+        dict(doc["events"][0], frame=-5)]), "frame"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRUTH_REPORTS))
+def test_truth_with_an_invalid_report_is_config_error(tmp_path, capsys, case):
+    out_dir, report = count_report(tmp_path, capsys)
+    change, key = BAD_TRUTH_REPORTS[case]
+    truth = write_json(tmp_path / "truth.json", change(report))
+    report_path = write_json(tmp_path / "report.json", report)
+    (tmp_path / "empty").mkdir()
+    # the input is an empty directory: a truth that got through would exit 1
+    for argv in (["eval", "--report", report_path, "--truth", truth],
+                 ["count", "--input", str(tmp_path / "empty"), "--truth", truth,
+                  *COUNT_FLAGS]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert key in captured.err and "truth.json" in captured.err
 
 
 def test_count_empty_raw_file_is_io_error(tmp_path, capsys):

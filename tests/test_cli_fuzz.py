@@ -362,7 +362,7 @@ BAD_FLAG_TEXT = [
     "1_0,2_0", "20, 40", "+20,40", "\u00b2,40", "9" * 4000 + "x" + "9" * 4000,
 ]
 FLAG_ALPHABET = "0123456789-+.,xXeE_ nai"
-BOOL_FLAGS = [key for key, (_, _, kind, _) in PARAMS.items() if kind is bool]
+BOOL_FLAGS = [key for key, (_, kind, _) in PARAMS.items() if kind is bool]
 VALUED_FLAGS = ["lines", "raw", *(key for key in PARAMS if key not in BOOL_FLAGS)]
 
 

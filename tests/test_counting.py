@@ -1,7 +1,7 @@
 import pytest
 
-from headcount import (Counters, CrossEvent, Direction, LinePair, LineZoneState,
-                       Zone, advance, apply_event, classify_zone)
+from headcount import (Counters, CrossEvent, Direction, LinePair, Track, Zone,
+                       advance, apply_event, classify_zone)
 from headcount.errors import ConfigError
 
 from oracles import scan_zone_events
@@ -14,12 +14,13 @@ ZONE_YS = {"A": [0.0, 50.0, 99.9], "M": [100.0, 150.0, 200.0], "B": [200.1, 250.
 
 def walk(zones, rng=None, track_id=0):
     """Feed a zone string through advance(), returning (index, direction) events."""
-    state = LineZoneState()
+    track = Track(track_id, (10.0, 0.0))
     events = []
     for i, z in enumerate(zones):
         ys = ZONE_YS[z]
         y = ys[int(rng.integers(len(ys)))] if rng is not None else ys[1]
-        event = advance(state, (10.0, y), LINES, i, track_id)
+        track.position = (10.0, y)
+        event = advance(track, LINES, i)
         if event is not None:
             events.append((event.frame, event.direction.value))
     return events
@@ -128,12 +129,12 @@ def test_inserting_middle_dwell_preserves_events(rng):
 
 
 def test_simultaneous_tracks_count_separately():
-    a, b = LineZoneState(), LineZoneState()
+    a, b = Track(0, (10.0, 0.0)), Track(1, (160.0, 0.0))
     events = []
     for frame, (ya, yb) in enumerate([(50.0, 250.0), (150.0, 150.0), (250.0, 50.0)]):
-        for state, x, tid in ((a, 10.0, 0), (b, 160.0, 1)):
-            y = ya if tid == 0 else yb
-            event = advance(state, (x, y), LINES, frame, tid)
+        for track, x, y in ((a, 10.0, ya), (b, 160.0, yb)):
+            track.position = (x, y)
+            event = advance(track, LINES, frame)
             if event:
                 events.append(event)
     assert len(events) == 2

@@ -159,6 +159,10 @@ BAD_REPORTS = {
     "event_not_an_object": report_doc(events=[["IN", 3, 0]]),
     "event_frame_not_an_integer": report_doc(events=[{"frame": 3.5, "track_id": 0,
                                                       "direction": "IN"}]),
+    "event_negative_frame": report_doc(events=[{"frame": -5, "track_id": 0,
+                                                "direction": "IN"}]),
+    "event_negative_track_id": report_doc(events=[{"frame": 3, "track_id": -2,
+                                                   "direction": "IN"}]),
     "events_not_a_list": report_doc(events={"frame": 3}),
     "params_not_an_object": report_doc(params=[1, 2]),
     # a misspelled key, with and without truth
@@ -196,6 +200,24 @@ def test_ground_truth_document_round_trip():
     assert GroundTruth.from_dict(truth.to_dict()) == truth
     # a report holding its truth reads as that truth
     assert GroundTruth.from_dict(report_doc()) == GroundTruth(3, 2, 5)
+
+
+TRUTH = {"true_in": 1, "true_out": 0, "true_total": 1}
+# a truth document that holds any other report key must be a valid report:
+# every bad report above that holds a truth, and truths with a bad report part
+BAD_REPORTS_AS_TRUTH = {
+    **{name: doc for name, doc in BAD_REPORTS.items() if set(TRUTH) <= set(doc)},
+    "garbage_report_keys": {**TRUTH, "in": "garbage", "events": "x",
+                            "params": {"alpah": 1}},
+    "events_without_counts": {**TRUTH, "events": []},
+    "accuracy_without_counts": {**TRUTH, "in_accuracy": 100.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_REPORTS_AS_TRUTH))
+def test_ground_truth_from_dict_rejects_an_invalid_report(name):
+    with pytest.raises(ConfigError):
+        GroundTruth.from_dict(BAD_REPORTS_AS_TRUTH[name])
 
 
 @pytest.mark.parametrize("doc", [

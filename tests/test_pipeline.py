@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -6,9 +7,9 @@ import pytest
 from headcount import (ActorSpec, BlobFilterParams, CountingPipeline, Direction,
                        LinePair, PipelineConfig, SceneSpec, Tracker, TrackerConfig,
                        advance, apply_event, detect_blobs, ground_truth_events,
-                       morph_open, render_scene, run)
+                       morph_open, render_frame, render_scene, run)
 from headcount.background import BackgroundModel
-from headcount.counting import Counters
+from headcount.counting import Counters, CrossEvent
 from headcount.errors import ConfigError, EmptySequence, OrderError, ShapeError
 
 from conftest import uniform_frame
@@ -92,18 +93,34 @@ def test_pipeline_equals_manual_stage_composition():
         mask = morph_open(mask, cfg.morph_radius)
         keypoints = detect_blobs(mask, cfg.blob, cfg.connectivity)
         assert returned == keypoints
-        tracker.step(keypoints, frame.index)
+        tracker.step(keypoints)
         for track in tracker.tracks:
-            if track.last_frame != frame.index:
+            if track.missed:
                 continue
-            event = advance(track.zone_state, track.position, cfg.lines,
-                            frame.index, track.id)
+            event = advance(track, cfg.lines, frame.index)
             if event is not None:
                 apply_event(counters, event)
                 events.append(event)
 
     assert counters == report.counters == pipeline.counters
     assert events == report.events == pipeline.events
+
+
+@pytest.mark.parametrize("gap", [0, 5])
+def test_track_counts_through_an_occlusion_of_at_most_max_missed_frames(gap):
+    # one head walks down; frames 60 .. 60+gap-1 show none. The track is
+    # unobserved there (missed > 0) and is not fed to advance; it matches the
+    # head again within max_missed (5) frames and scores when it reaches zone B
+    scene = SceneSpec(width=320, height=240, frames=100, background_intensity=50,
+                      actors=[ActorSpec(radius=10, start=(160.0, 20.0),
+                                        velocity=(0.0, 4.0), spawn_frame=40,
+                                        despawn_frame=95, intensity=220)])
+    hidden = dataclasses.replace(scene, actors=[])
+    frames = (render_frame(hidden if 60 <= i < 60 + gap else scene, i)
+              for i in range(scene.frames))
+    report = run(frames, PipelineConfig(lines=LinePair(90, 130)))
+    assert report.counters == Counters(in_count=1, out_count=0)
+    assert report.events == [CrossEvent(68, 0, Direction.IN)]
 
 
 def test_run_is_deterministic():
@@ -240,7 +257,7 @@ def test_morph_radius_zero_skips_cleanup():
 def test_params_snapshot_reflects_config():
     cfg = config(alpha=0.05, threshold=30.0, invert_direction=True,
                  blob=BlobFilterParams(min_area=50),
-                 tracker=TrackerConfig(max_match_distance=40.0, max_missed=3))
+                 tracker=TrackerConfig(max_match_dist=40.0, max_missed=3))
     params = cfg.to_params_dict()
     assert params["alpha"] == 0.05
     assert params["threshold"] == 30.0
@@ -256,10 +273,10 @@ def test_params_snapshot_reflects_config():
     PipelineConfig(lines=LinePair(1, 2), alpha=0.05, threshold=30.0, warmup=0,
                    morph_radius=0, connectivity=4, invert_direction=True,
                    blob=BlobFilterParams(min_area=50, max_area=None),
-                   tracker=TrackerConfig(max_match_distance=40.0, max_missed=3)),
+                   tracker=TrackerConfig(max_match_dist=40.0, max_missed=3)),
     PipelineConfig(lines=LINES, blob=BlobFilterParams(
         min_area=5, max_area=900, min_circularity=0.1, min_convexity=0.2,
-        min_inertia_ratio=0.4)),
+        min_inertia=0.4)),
 ], ids=["defaults", "top_level_and_tracker", "blob"])
 def test_from_params_inverts_to_params_dict(cfg):
     params = cfg.to_params_dict()
