@@ -17,13 +17,13 @@ from .frame_io import (Frame, SequenceSpec, circle_points, load_frame,
 from .metrics import CountReport, GroundTruth, accuracy_pct
 from .pipeline import CountingPipeline, PipelineConfig, run
 from .synthetic import ActorSpec, SceneSpec, ground_truth_events, render_frame, render_scene
-from .tracking import Assignment, Track, Tracker, TrackerConfig, associate
+from .tracking import Track, Tracker, TrackerConfig, associate
 from . import errors
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActorSpec", "Assignment", "BackgroundModel", "BinaryMask",
+    "ActorSpec", "BackgroundModel", "BinaryMask",
     "BlobFilterParams", "BlobKeypoint", "BlobMeasurements", "ComponentLabels",
     "CountReport", "Counters", "CountingPipeline", "CrossEvent", "Direction",
     "Frame", "GroundTruth", "LinePair", "PipelineConfig",

@@ -41,11 +41,21 @@ def _parse_geometry(text: str) -> tuple[int, int]:
     return w, h
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; ValueError on a repeated key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {quote(key)}")
+        doc[key] = value
+    return doc
+
+
 def _load_json(path, from_dict=dict):
     """``from_dict`` of the JSON object at ``path``; its ConfigErrors name the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ConfigError(f"{path}: not a UTF-8 JSON document: {exc}") from None
     try:

@@ -122,13 +122,20 @@ class CountReport:
     def from_dict(cls, doc: dict[str, Any]) -> "CountReport":
         """The report ``to_dict`` wrote; ConfigError unless every count is a
         consistent JSON integer and every stored accuracy the derived one.
-        ``events`` and ``params`` may be absent."""
+        ``events`` and ``params`` may be absent. The events may be fewer than
+        the counts, but tally no more IN or OUT, and no two share a frame and
+        track id, since a track is advanced once per frame."""
         n_in, n_out, _ = _counts(json_object("report", doc, _KEYS), ("in", "out", "total"))
-        events = json_value("events", doc.get("events", []), list)
+        events = [_event(e) for e in json_value("events", doc.get("events", []), list)]
+        directions = [e.direction for e in events]
+        if directions.count(Direction.IN) > n_in or directions.count(Direction.OUT) > n_out:
+            raise ConfigError(f"events must hold at most in={n_in} IN and out={n_out} OUT")
+        if len({(e.frame, e.track_id) for e in events}) < len(events):
+            raise ConfigError("two events share a frame and track_id")
         params = json_value("params", doc.get("params", {}), dict)
         has_truth = any(key in doc for key in (*GroundTruth.KEYS, *_ACCURACIES))
         truth = GroundTruth(*_counts(doc, GroundTruth.KEYS)) if has_truth else None
-        report = cls(Counters(n_in, n_out), [_event(e) for e in events], truth, params)
+        report = cls(Counters(n_in, n_out), events, truth, params)
         if {key: doc[key] for key in _ACCURACIES if key in doc} != report.accuracies():
             raise ConfigError(f"stored accuracies differ from the derived "
                               f"{report.accuracies()}")

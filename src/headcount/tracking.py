@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .blobs import BlobKeypoint
 from .counting import Zone
@@ -41,48 +40,35 @@ class Track:
     id: int
     position: tuple[float, float]
     missed: int = 0
-    origin_zone: Optional[Zone] = None
-
-
-@dataclass
-class Assignment:
-    """Result of matching tracks to keypoints; keypoints are referenced by
-    their index in the input list."""
-
-    matches: list[tuple[Track, int]]
-    unmatched_tracks: list[Track]
-    unmatched_keypoints: list[int]
+    origin_zone: Zone | None = None
 
 
 def associate(tracks: list[Track], keypoints: list[BlobKeypoint],
-              cfg: TrackerConfig) -> Assignment:
-    """Greedy nearest-pair matching within the distance gate.
+              cfg: TrackerConfig) -> list[tuple[Track, int]]:
+    """Greedy nearest-pair matching within the distance gate: the (track,
+    keypoint index) pairs in the order they were taken.
 
     Candidate pairs are taken in order of (distance, track id, keypoint
     index), each track and keypoint used at most once.
     """
     candidates = []
-    for track in tracks:
+    for i, track in enumerate(tracks):
         tx, ty = track.position
         for k, kp in enumerate(keypoints):
             d = math.hypot(kp.centroid[0] - tx, kp.centroid[1] - ty)
             if d <= cfg.max_match_dist:
-                candidates.append((d, track.id, k))
+                candidates.append((d, track.id, k, i))
     candidates.sort()
 
-    by_id = {t.id: t for t in tracks}
     used_tracks: set[int] = set()
     used_keypoints: set[int] = set()
     matches = []
-    for d, tid, k in candidates:
-        if tid in used_tracks or k in used_keypoints:
-            continue
-        used_tracks.add(tid)
-        used_keypoints.add(k)
-        matches.append((by_id[tid], k))
-    unmatched_tracks = [t for t in tracks if t.id not in used_tracks]
-    unmatched_keypoints = [k for k in range(len(keypoints)) if k not in used_keypoints]
-    return Assignment(matches, unmatched_tracks, unmatched_keypoints)
+    for _, _, k, i in candidates:
+        if i not in used_tracks and k not in used_keypoints:
+            used_tracks.add(i)
+            used_keypoints.add(k)
+            matches.append((tracks[i], k))
+    return matches
 
 
 class Tracker:
@@ -94,31 +80,26 @@ class Tracker:
         self._next_id = 0
 
     def step(self, keypoints: list[BlobKeypoint]) -> tuple[list[int], list[int]]:
-        """Advance one frame: match, age out, and spawn tracks.
+        """Advance one frame and return (spawned ids, expired ids).
 
-        Returns (spawned ids, expired ids). Matched tracks move to the
-        keypoint centroid; unmatched tracks age and are dropped once missed
-        exceeds max_missed; unmatched keypoints start fresh tracks with ids
-        that are never reused. So the tracks observed on this frame are
-        those with missed 0.
+        Every track ages by one frame, and a matched track moves to its
+        keypoint's centroid with missed 0. Tracks whose missed exceeds
+        max_missed are dropped, and each unmatched keypoint starts a track
+        with an id that is never reused. So the tracks observed on this
+        frame are those with missed 0.
         """
-        assignment = associate(self.tracks, keypoints, self.cfg)
-        for track, k in assignment.matches:
+        matches = associate(self.tracks, keypoints, self.cfg)
+        for track in self.tracks:
+            track.missed += 1
+        for track, k in matches:
             track.position = keypoints[k].centroid
             track.missed = 0
+        expired = [t.id for t in self.tracks if t.missed > self.cfg.max_missed]
+        self.tracks = [t for t in self.tracks if t.missed <= self.cfg.max_missed]
 
-        expired = []
-        for track in assignment.unmatched_tracks:
-            track.missed += 1
-            if track.missed > self.cfg.max_missed:
-                expired.append(track.id)
-        if expired:
-            self.tracks = [t for t in self.tracks if t.missed <= self.cfg.max_missed]
-
-        spawned = []
-        for k in assignment.unmatched_keypoints:
-            track = Track(self._next_id, keypoints[k].centroid)
-            self._next_id += 1
-            self.tracks.append(track)
-            spawned.append(track.id)
+        matched = {k for _, k in matches}
+        born = [kp for k, kp in enumerate(keypoints) if k not in matched]
+        spawned = list(range(self._next_id, self._next_id + len(born)))
+        self.tracks += [Track(tid, kp.centroid) for tid, kp in zip(spawned, born)]
+        self._next_id += len(born)
         return spawned, expired

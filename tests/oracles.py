@@ -5,8 +5,8 @@ package (flood fill instead of run-based union-find, brute-force window scans
 instead of vectorized morphology, string search instead of a per-frame state
 machine, full-frame scans and every-pixel hulls instead of run tables, a
 byte-by-byte scanner instead of a compiled pattern, value changes along a
-padded boolean copy instead of packed words) so agreement between the two is
-meaningful.
+padded boolean copy instead of packed words, a track list rebuilt each frame
+instead of tracks aged in place) so agreement between the two is meaningful.
 """
 
 import math
@@ -147,6 +147,39 @@ def greedy_match_bruteforce(tracks: list, keypoints: list, max_dist: float) -> l
         remaining_t = [t for t in remaining_t if t[0] != tid]
         remaining_k = [p for p in remaining_k if p[0] != k]
     return matches
+
+
+def track_bruteforce(frames: list, max_dist: float, max_missed: int) -> list:
+    """A tracker kept as a plain list of (id, position, missed) tuples and
+    rebuilt each frame from greedy_match_bruteforce's pairs: a paired track
+    takes its keypoint's position and a miss count of 0, any other counts one
+    more miss and is dropped past ``max_missed``, and each unpaired keypoint,
+    in index order, starts a track with the next id.
+
+    ``frames`` is [[(x, y)]]; returns per frame (spawned ids, expired ids,
+    the live [(id, (x, y), missed)] in list order).
+    """
+    live, next_id, history = [], 0, []
+    for points in frames:
+        pairs = dict(greedy_match_bruteforce([(tid, pos) for tid, pos, _ in live],
+                                             points, max_dist))
+        kept, expired = [], []
+        for tid, pos, missed in live:
+            if tid in pairs:
+                kept.append((tid, points[pairs[tid]], 0))
+            elif missed + 1 > max_missed:
+                expired.append(tid)
+            else:
+                kept.append((tid, pos, missed + 1))
+        spawned = []
+        for k, point in enumerate(points):
+            if k not in pairs.values():
+                spawned.append(next_id)
+                kept.append((next_id, point, 0))
+                next_id += 1
+        live = kept
+        history.append((spawned, expired, live))
+    return history
 
 
 def disk_mask(radius: float, pad: int = 3, center=None) -> np.ndarray:

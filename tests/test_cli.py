@@ -570,6 +570,52 @@ def test_eval_report_counts_must_be_consistent(tmp_path, capsys, report_doc):
     assert "total == in + out" in captured.err
 
 
+def test_eval_events_beyond_the_counts_are_config_error(tmp_path, capsys):
+    # two identical OUT events in a report of one IN used to score 100.0 three times
+    event = {"frame": 3, "track_id": 0, "direction": "OUT"}
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"in": 1, "out": 0, "total": 1, "events": [event, event]}))
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"true_in": 1, "true_out": 0, "true_total": 1}))
+    code = main(["eval", "--report", str(report), "--truth", str(truth)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "events" in captured.err
+
+
+LONG_KEY = json.dumps("k" * 4000)
+# each kind of document with a key repeated, at the top level or nested: json
+# alone keeps the last copy and reports nothing
+REPEATED_KEYS = {
+    "config": ("count", "--config", '{"lines": [40, 80], "alpha": 0.5, "alpha": 0.02}'),
+    "config_long_key": ("count", "--config", f'{{{LONG_KEY}: 1, {LONG_KEY}: 2}}'),
+    "truth": ("count", "--truth",
+              '{"true_in": 1, "true_out": 0, "true_total": 1, "true_in": 1}'),
+    "report": ("eval", "--report", '{"in": 1, "out": 0, "total": 1, "events": '
+               '[{"frame": 3, "track_id": 0, "direction": "IN", "frame": 4}]}'),
+    "scene_actor": ("synth", "--spec",
+                    json.dumps(SCENE).replace('"radius": 8', '"radius": 8, "radius": 9', 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_KEYS))
+def test_repeated_json_key_is_config_error(tmp_path, capsys, name):
+    command, flag, text = REPEATED_KEYS[name]
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"true_in": 1, "true_out": 0, "true_total": 1}))
+    # count reads no frame from tmp_path: a document that got through would exit 1
+    rest = {"count": ["--input", str(tmp_path), "--lines", "40,80"],
+            "eval": ["--truth", str(truth)],
+            "synth": ["--out", str(tmp_path / "out")]}[command]
+    code = main([command, flag, str(doc), *rest])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "repeated key" in captured.err and len(captured.err) < 200
+    assert not (tmp_path / "out").exists()
+
+
 NON_INTEGER_TRUTHS = [
     {"true_in": "3", "true_out": 1, "true_total": 4},
     {"true_in": 3.5, "true_out": 0.5, "true_total": 4.0},

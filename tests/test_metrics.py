@@ -170,6 +170,14 @@ BAD_REPORTS = {
     "unknown_key_with_truth": report_doc(tc_acuracy=100.0),
     "unknown_event_key": report_doc(events=[{"frame": 3, "track_id": 0,
                                              "direction": "IN", "frme": 3}]),
+    # the events tally more OUT than the report counts
+    "more_events_than_counts": {"in": 1, "out": 0, "total": 1, "events": [
+        {"frame": 3, "track_id": 0, "direction": "OUT"},
+        {"frame": 4, "track_id": 0, "direction": "OUT"}]},
+    # a track is advanced once per frame, so it scores at most once per frame
+    "events_share_frame_and_track": {"in": 2, "out": 0, "total": 2, "events": [
+        {"frame": 3, "track_id": 0, "direction": "IN"},
+        {"frame": 3, "track_id": 0, "direction": "IN"}]},
 }
 
 

@@ -7,7 +7,7 @@ from headcount import BlobKeypoint, Tracker, TrackerConfig, associate
 from headcount.errors import ConfigError
 from headcount.tracking import Track
 
-from oracles import greedy_match_bruteforce
+from oracles import greedy_match_bruteforce, track_bruteforce
 
 
 def kp(x, y):
@@ -20,18 +20,13 @@ def track_at(tid, x, y):
 
 def test_associate_within_gate():
     cfg = TrackerConfig(max_match_dist=20.0)
-    result = associate([track_at(0, 10, 10)], [kp(12, 10)], cfg)
-    assert [(t.id, k) for t, k in result.matches] == [(0, 0)]
-    assert result.unmatched_tracks == []
-    assert result.unmatched_keypoints == []
+    matches = associate([track_at(0, 10, 10)], [kp(12, 10)], cfg)
+    assert [(t.id, k) for t, k in matches] == [(0, 0)]
 
 
 def test_associate_beyond_gate():
     cfg = TrackerConfig(max_match_dist=20.0)
-    result = associate([track_at(0, 10, 10)], [kp(35, 10)], cfg)
-    assert result.matches == []
-    assert [t.id for t in result.unmatched_tracks] == [0]
-    assert result.unmatched_keypoints == [0]
+    assert associate([track_at(0, 10, 10)], [kp(35, 10)], cfg) == []
 
 
 def test_associate_prefers_globally_nearest():
@@ -39,16 +34,16 @@ def test_associate_prefers_globally_nearest():
     cfg = TrackerConfig(max_match_dist=50.0)
     tracks = [track_at(0, 0, 0), track_at(1, 10, 0)]
     keypoints = [kp(9, 0), kp(1, 0)]
-    result = associate(tracks, keypoints, cfg)
-    assert {(t.id, k) for t, k in result.matches} == {(0, 1), (1, 0)}
+    matches = associate(tracks, keypoints, cfg)
+    assert [(t.id, k) for t, k in matches] == [(0, 1), (1, 0)]
 
 
 def test_associate_tie_breaks_by_track_id_then_keypoint():
     cfg = TrackerConfig(max_match_dist=50.0)
     tracks = [track_at(0, 0, 0), track_at(1, 8, 0)]
     keypoints = [kp(4, 3), kp(4, -3)]  # all four distances equal (5.0)
-    result = associate(tracks, keypoints, cfg)
-    assert [(t.id, k) for t, k in result.matches] == [(0, 0), (1, 1)]
+    matches = associate(tracks, keypoints, cfg)
+    assert [(t.id, k) for t, k in matches] == [(0, 0), (1, 1)]
 
 
 def test_associate_matches_bruteforce_oracle(rng):
@@ -58,10 +53,10 @@ def test_associate_matches_bruteforce_oracle(rng):
         n_kps = int(rng.integers(0, 6))
         tracks = [track_at(i, *rng.uniform(0, 100, 2)) for i in range(n_tracks)]
         keypoints = [kp(*rng.uniform(0, 100, 2)) for _ in range(n_kps)]
-        got = sorted((t.id, k) for t, k in associate(tracks, keypoints, cfg).matches)
-        expected = sorted(greedy_match_bruteforce(
+        got = [(t.id, k) for t, k in associate(tracks, keypoints, cfg)]
+        expected = greedy_match_bruteforce(
             [(t.id, t.position) for t in tracks],
-            [k.centroid for k in keypoints], 30.0))
+            [k.centroid for k in keypoints], 30.0)
         assert got == expected
 
 
@@ -69,12 +64,26 @@ def test_associate_injective(rng):
     cfg = TrackerConfig(max_match_dist=40.0)
     tracks = [track_at(i, *rng.uniform(0, 50, 2)) for i in range(5)]
     keypoints = [kp(*rng.uniform(0, 50, 2)) for _ in range(7)]
-    result = associate(tracks, keypoints, cfg)
-    tids = [t.id for t, _ in result.matches]
-    kids = [k for _, k in result.matches]
+    matches = associate(tracks, keypoints, cfg)
+    tids = [t.id for t, _ in matches]
+    kids = [k for _, k in matches]
     assert len(set(tids)) == len(tids)
     assert len(set(kids)) == len(kids)
-    assert len(result.matches) <= min(len(tracks), len(keypoints))
+    assert len(matches) <= min(len(tracks), len(keypoints))
+
+
+@pytest.mark.parametrize("max_missed", [0, 2])
+def test_step_matches_bruteforce_tracker_oracle(rng, max_missed):
+    # integer-grid keypoints within a small field make equal distances common,
+    # so the (distance, track id, keypoint index) tie-break decides matches
+    for _ in range(50):
+        frames = [[(float(x), float(y)) for x, y in rng.integers(0, 10, (n, 2))]
+                  for n in rng.integers(0, 7, 30)]
+        tracker = Tracker(TrackerConfig(max_match_dist=3.0, max_missed=max_missed))
+        for points, (spawned, expired, live) in zip(
+                frames, track_bruteforce(frames, 3.0, max_missed)):
+            assert tracker.step([kp(x, y) for x, y in points]) == (spawned, expired)
+            assert [(t.id, t.position, t.missed) for t in tracker.tracks] == live
 
 
 def test_step_spawns_for_unmatched_keypoints():
