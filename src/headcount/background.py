@@ -1,16 +1,20 @@
 """Adaptive background estimate and binary foreground extraction.
 
 The background is a per-pixel exponential running average, updated on every
-frame in the incremental form ``estimate += alpha*(frame - estimate)``.
-Foreground is any pixel whose absolute difference from the estimate exceeds a
-fixed threshold. Moving objects are not masked out of the update; entrance
-scenes are background most of the time, so the estimate stays clean and the
-update stays a pure linear recurrence with a provable convergence rate.
+frame after the first in the incremental form ``estimate += alpha*(frame -
+estimate)``. Foreground is any pixel whose absolute difference from the
+estimate updated with the frame exceeds a fixed threshold. The update shrinks
+that difference by exactly ``1 - alpha`` before rounding, so ``subtract``
+compares the difference from the estimate as it stood before the frame with
+``threshold / (1 - alpha)``, and one walk over the frame both masks and
+updates it. Moving objects are not masked out of the update; entrance scenes
+are background most of the time, so the estimate stays clean and the update
+stays a pure linear recurrence with a provable convergence rate.
 
 The estimate is float32, or float64 where alpha is so small that float32
 would stall short of the threshold (``BackgroundModel`` gives the rule and
-how the threshold is rounded). Both per-frame steps walk the frame in blocks
-of rows, in place: the model owns one scratch buffer of one block, in the
+how the threshold is rounded). Each per-frame step walks the frame in blocks
+of rows, in place: the model owns two scratch buffers of one block, in the
 estimate's dtype, so each block's passes run on data still in cache. Beyond
 one block of booleans, the only per-pixel array a frame allocates is its
 bit-packed mask.
@@ -108,29 +112,34 @@ def _floor_to(dtype, value: float):
 class BackgroundModel:
     """Running-average intensity model for one frame stream.
 
-    The estimate and a scratch buffer of one block of its rows are float32,
-    which halves the bytes each step streams. An incremental update is lost
-    once ``alpha*(frame - estimate)`` is under half a float32 spacing of the
-    estimate, at most 2**-17 near 255, so float32 can stall ``2**-17 / alpha``
-    levels short of a constant frame (0.76 at alpha 1e-5). The model is
-    float32 only while that gap is under ``threshold / 2``, that is for
+    Each frame after the first takes one call: ``update`` while it only
+    settles the estimate (warm-up), ``subtract`` when its mask is wanted.
+    The first frame, given on construction, only seeds the estimate.
+
+    The estimate and two scratch buffers of one block of its rows are
+    float32, which halves the bytes each step streams. An incremental update
+    is lost once ``alpha*(frame - estimate)`` is under half a float32 spacing
+    of the estimate, at most 2**-17 near 255, so float32 can stall ``2**-17 /
+    alpha`` levels short of a constant frame (0.76 at alpha 1e-5). The model
+    is float32 only while that gap is under ``threshold / 2``, that is for
     ``alpha > 2**-16 / threshold``, and float64 otherwise, with the same
     operations. The blend form ``(1-alpha)*estimate + alpha*frame`` is not
     used: it rounds twice per step and its rounded ``1-alpha`` moves the
     fixed point, so it has no such bound.
 
-    Alpha and the threshold are kept as scalars of the estimate's dtype, so
-    no step is promoted to float64. The threshold is the largest such value
-    not above ``threshold``: then a mask equals ``|frame - estimate| >
-    threshold`` for the difference rounded to the dtype, also for a threshold
-    such as 25.1 that float32 cannot hold.
+    Alpha and the mask's threshold are kept as scalars of the estimate's
+    dtype, so no step is promoted to float64. The mask's threshold is the
+    largest such value not above ``threshold / (1 - alpha)``: then a mask
+    equals ``|frame - estimate| > threshold / (1 - alpha)`` for the
+    difference rounded to the dtype, also where float32 cannot hold the
+    quotient exactly.
 
     ``update`` and ``subtract`` walk the frame one block of rows at a time.
-    Each block casts the frame's rows into the scratch buffer (exact for
+    Each block casts the frame's rows into a scratch buffer (exact for
     uint8) and subtracts the estimate's rows there, the same IEEE operations
     as one whole-frame step, so the block size never changes a result.
     Neither step allocates a float temporary. One model per stream; it is
-    single-owner mutable state, scratch buffer included, and not safe to
+    single-owner mutable state, scratch buffers included, and not safe to
     share between concurrently processed streams.
     """
 
@@ -142,8 +151,9 @@ class BackgroundModel:
         height, width = self.estimate.shape
         block = max(1, BLOCK_PIXELS // width)
         self._scratch = np.empty((min(block, height), width), dtype=dtype)
+        self._magnitude = np.empty_like(self._scratch)
         self._alpha = dtype(alpha)
-        self._threshold = _floor_to(dtype, float(threshold))
+        self._threshold = _floor_to(dtype, float(threshold) / (1.0 - alpha))
 
     def _differences(self, frame: Frame):
         """Yield (top row, estimate rows, frame rows - estimate rows) for each
@@ -165,7 +175,8 @@ class BackgroundModel:
     def update(self, frame: Frame) -> "BackgroundModel":
         """Move the estimate toward the frame: estimate += alpha*(frame -
         estimate), in place, with each block's step formed in the scratch
-        buffer."""
+        buffer. For a frame whose mask is not wanted; ``subtract`` makes the
+        same step."""
         alpha = self._alpha
         for _, rows, step in self._differences(frame):
             step *= alpha
@@ -173,17 +184,27 @@ class BackgroundModel:
         return self
 
     def subtract(self, frame: Frame) -> BinaryMask:
-        """Foreground mask: |frame - estimate| > threshold, per pixel.
+        """Foreground mask of the frame, then the frame's update: per pixel,
+        |frame - estimate| > threshold / (1 - alpha) against the estimate
+        before this frame, then estimate += alpha*(frame - estimate).
 
-        The differences are taken in the scratch buffer, and each block's
-        comparison is packed into the mask's rows while still in cache; the
-        returned mask shares memory with nothing the model keeps.
+        Each block of rows is differenced once: its magnitude, in the second
+        scratch buffer, is compared and the comparison packed into the mask's
+        rows, and the signed difference makes the update, all while the block
+        is in cache. The estimate ends bit for bit as ``update`` leaves it,
+        and the returned mask shares memory with nothing the model keeps.
         """
-        threshold = self._threshold
+        alpha, threshold, magnitude = self._alpha, self._threshold, self._magnitude
         height, width = self.estimate.shape
-        blocks = ((top, np.abs(diff, out=diff) > threshold)
-                  for top, _, diff in self._differences(frame))
-        return BinaryMask.packed(_pack(blocks, height, width), width)
+
+        def blocks():
+            for top, rows, diff in self._differences(frame):
+                bits = np.abs(diff, out=magnitude[:len(rows)]) > threshold
+                diff *= alpha
+                rows += diff
+                yield top, bits
+
+        return BinaryMask.packed(_pack(blocks(), height, width), width)
 
 
 # Masks are bit-packed rows. np.packbits puts column c at bit 63 - c % 64 of

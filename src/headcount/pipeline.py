@@ -123,9 +123,12 @@ class CountingPipeline:
             raise OrderError(f"expected frame {self.frames_processed}, got {frame.index}")
         self.frames_processed += 1
 
+        # each frame moves the estimate once: by update during warmup, by
+        # subtract, which masks the frame first, after it. Frame 0 seeds the
+        # estimate, so where it is masked its difference and step are 0
         if self._model is None:
             self._init_model(frame)
-        else:
+        elif frame.index < self.config.warmup:
             self._model.update(frame)
 
         if frame.index < self.config.warmup:

@@ -6,7 +6,9 @@ instead of vectorized morphology, string search instead of a per-frame state
 machine, full-frame scans and every-pixel hulls instead of run tables, a
 byte-by-byte scanner instead of a compiled pattern, value changes along a
 padded boolean copy instead of packed words, a track list rebuilt each frame
-instead of tracks aged in place) so agreement between the two is meaningful.
+instead of tracks aged in place, an update and then a comparison with the
+updated estimate instead of one walk that compares first) so agreement
+between the two is meaningful.
 """
 
 import math
@@ -103,6 +105,26 @@ def background_step_reference(estimate: np.ndarray, pixels: np.ndarray,
     in-place update, so the results must agree bit for bit."""
     dtype = estimate.dtype.type
     return estimate + dtype(alpha) * (pixels.astype(dtype) - estimate)
+
+
+def floor_to_dtype(dtype, value: float):
+    """The largest ``dtype`` value not above ``value``: step down from the
+    nearest one until a value not above it is reached."""
+    candidate = dtype(value)
+    while float(candidate) > value:
+        candidate = np.nextafter(candidate, dtype(-np.inf))
+    return candidate
+
+
+def update_then_subtract(estimate: np.ndarray, pixels: np.ndarray, alpha: float,
+                         threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The background step in two passes, update first: the updated
+    estimate, and the mask |frame - updated estimate| > threshold, computed
+    in the estimate's dtype with the threshold floored to it."""
+    dtype = estimate.dtype.type
+    updated = background_step_reference(estimate, pixels, alpha)
+    difference = np.abs(pixels.astype(dtype) - updated)
+    return updated, difference > floor_to_dtype(dtype, threshold)
 
 
 def scan_zone_events(zones: str) -> list:

@@ -145,22 +145,41 @@ def test_criterion_05_shape_metric_sanity():
 
 def test_criterion_06_background_convergence():
     with criterion(6, "running average meets the 255*(1-a)^k bound, mask clears"):
-        # constant scene, model seeded from the first frame
+        # model seeded from the first frame; as in the pipeline, frames 1-29
+        # (warm-up) only update it, and later ones are masked against the
+        # estimate before them, then update it
+        def step(model, frame, k):
+            if k < 30:
+                model.update(frame)
+                return None
+            return model.subtract(frame).bits
+
+        # constant scene
         frame = uniform_frame(32, 32, 120)
         model = BackgroundModel(frame, alpha=0.02, threshold=25.0)
         for k in range(1, 301):
-            model.update(frame)
+            bits = step(model, frame, k)
             gap = np.abs(model.estimate - frame.pixels).max()
             assert gap <= 255.0 * 0.98 ** k
-            if k >= 30:
-                assert not model.subtract(frame).bits.any()
-        # near-worst-case start: the bound still holds from a 254-unit gap
-        model = BackgroundModel(uniform_frame(32, 32, 1), alpha=0.02)
+            if bits is not None:
+                assert not bits.any()
+        # near-worst-case start: the bound still holds from a 254-unit gap,
+        # and a mask is full while the gap before its frame exceeds
+        # threshold / (1 - alpha), then clears
+        model = BackgroundModel(uniform_frame(32, 32, 1), alpha=0.02, threshold=25.0)
         high = uniform_frame(32, 32, 255)
+        cleared = None
         for k in range(1, 301):
-            model.update(high)
+            before = np.abs(model.estimate - 255.0).max()
+            bits = step(model, high, k)
             gap = np.abs(model.estimate - 255.0).max()
             assert gap <= 255.0 * 0.98 ** k
+            if bits is not None:
+                assert bits.all() if before > 25.0 / 0.98 else not bits.any()
+                if cleared is None and not bits.any():
+                    cleared = k
+        # 254 * 0.98**(k - 1) <= 25 / 0.98 first at k = 115
+        assert cleared == 115
 
 
 def test_criterion_07_line_semantics_oracle():

@@ -1,15 +1,23 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from headcount import BackgroundModel, BinaryMask, morph_open
-from headcount.background import BLOCK_PIXELS
+from headcount import (ActorSpec, BackgroundModel, BinaryMask, SceneSpec, morph_open,
+                       render_scene)
+from headcount.background import BLOCK_PIXELS, DEFAULT_ALPHA, DEFAULT_THRESHOLD
 from headcount.errors import ConfigError, ShapeError
 
 from conftest import make_frame, uniform_frame
 from oracles import (background_step_reference, dilate_bruteforce, erode_bruteforce,
-                     subtract_bruteforce)
+                     floor_to_dtype, subtract_bruteforce, update_then_subtract)
+
+
+def mask_threshold(threshold, alpha, dtype=np.float32) -> float:
+    """The threshold a mask compares the difference from the estimate before
+    its frame with: threshold / (1 - alpha), floored to the dtype."""
+    return float(floor_to_dtype(dtype, threshold / (1 - alpha)))
 
 
 def test_init_copies_first_frame():
@@ -92,18 +100,26 @@ def test_subtract_equal_frames_all_background():
 
 
 def test_subtract_threshold_is_strict():
-    model = BackgroundModel(uniform_frame(8, 8, 100), threshold=25.0)
-    exactly = uniform_frame(8, 8, 125)   # |diff| == threshold: background
-    beyond = uniform_frame(8, 8, 126)
-    assert not model.subtract(exactly).bits.any()
-    assert model.subtract(beyond).bits.all()
+    # at alpha 0.5 the mask's threshold 12.5 / (1 - 0.5) is exactly 25. A
+    # subtract also updates the estimate, so each probe gets a fresh model
+    assert mask_threshold(12.5, 0.5) == 25.0
+    for value, foreground in ((125, False),   # |diff| == 25: background
+                              (126, True)):
+        first, frame = uniform_frame(8, 8, 100), uniform_frame(8, 8, value)
+        model = BackgroundModel(first, alpha=0.5, threshold=12.5)
+        bits = model.subtract(frame).bits
+        expected = subtract_bruteforce(frame.pixels, first.pixels, 25.0)
+        assert np.array_equal(bits, expected)
+        assert bits.all() if foreground else not bits.any()
+        assert np.array_equal(model.estimate, background_step_reference(
+            first.pixels.astype(np.float32), frame.pixels, 0.5))
 
 
 def test_subtract_single_pixel():
     base = np.full((8, 8), 40, dtype=np.uint8)
     model = BackgroundModel(make_frame(base), threshold=25.0)
     changed = base.copy()
-    changed[2, 5] = 66  # diff threshold + 1
+    changed[2, 5] = 66  # diff 26, above 25 / (1 - alpha) = 25.51
     mask = model.subtract(make_frame(changed))
     assert mask.bits.sum() == 1
     assert mask.bits[2, 5]
@@ -115,7 +131,8 @@ def test_subtract_matches_bruteforce(rng):
         b = rng.integers(0, 256, (12, 12), dtype=np.uint8)
         model = BackgroundModel(make_frame(a), threshold=25.0)
         mask = model.subtract(make_frame(b))
-        assert np.array_equal(mask.bits, subtract_bruteforce(b, a, 25.0))
+        expected = subtract_bruteforce(b, a, mask_threshold(25.0, DEFAULT_ALPHA))
+        assert np.array_equal(mask.bits, expected)
 
 
 def test_subtract_symmetric_in_roles(rng):
@@ -133,33 +150,79 @@ def noise_frames(rng, count, shape=(36, 48), level=100, amplitude=40):
 
 
 def test_estimate_and_masks_equal_reference_bit_for_bit(rng):
+    # ten warm-up frames that only update, then frames that are masked
+    # against the estimate before them and update it
     frames = list(noise_frames(rng, 101))
     model = BackgroundModel(frames[0], alpha=0.02, threshold=38.0)
     estimate = frames[0].pixels.astype(np.float32)
+    threshold = mask_threshold(38.0, 0.02)
     flagged = 0
     for frame in frames[1:]:
-        model.update(frame)
+        if frame.index <= 10:
+            model.update(frame)
+        else:
+            mask = model.subtract(frame)
+            expected = subtract_bruteforce(frame.pixels, estimate, threshold)
+            assert np.array_equal(mask.bits, expected)
+            flagged += int(expected.sum())
         estimate = background_step_reference(estimate, frame.pixels, 0.02)
         assert np.array_equal(model.estimate, estimate)
-        mask = model.subtract(frame)
-        expected = subtract_bruteforce(frame.pixels, estimate, 38.0)
-        assert np.array_equal(mask.bits, expected)
+    assert 0 < flagged < 90 * 36 * 48
+
+
+@pytest.mark.parametrize("threshold", [25.0, 25.1, 38.0])
+@pytest.mark.parametrize("alpha, dtype", [(0.02, np.float32), (1e-7, np.float64)])
+def test_one_walk_is_update_then_subtract_up_to_rounding(rng, alpha, dtype, threshold):
+    # the update shrinks |frame - estimate| by exactly 1 - alpha before
+    # rounding, so comparing the difference before it with threshold /
+    # (1 - alpha) is the two-pass rule: a mask may differ from it only where
+    # rounding meets the threshold, and the estimates are the same steps
+    rescaled = threshold / (1 - alpha)
+    frames = noise_frames(rng, 2001)
+    first = next(frames)
+    model = BackgroundModel(first, alpha=alpha, threshold=threshold)
+    assert model.estimate.dtype == dtype
+    estimate = first.pixels.astype(dtype)
+    for frame in frames:
+        before = np.abs(frame.pixels - estimate.astype(np.float64))
+        estimate, expected = update_then_subtract(estimate, frame.pixels, alpha, threshold)
+        mask = model.subtract(frame).bits
+        assert np.array_equal(model.estimate, estimate)
+        assert (np.abs(before[mask != expected] - rescaled) <= 1e-4).all()
+
+
+def test_one_walk_is_update_then_subtract_on_a_rendered_scene():
+    scene = SceneSpec(width=96, height=72, frames=60, background_intensity=60,
+                      noise_amplitude=6, seed=5,
+                      actors=[ActorSpec(radius=9, start=(30.0, 4.0), velocity=(0.5, 1.2),
+                                        spawn_frame=5, despawn_frame=None, intensity=200),
+                              ActorSpec(radius=6, start=(80.0, 70.0), velocity=(-1.0, -1.0),
+                                        spawn_frame=10, despawn_frame=50, intensity=120)])
+    frames = render_scene(scene)
+    first = next(frames)
+    model = BackgroundModel(first)
+    estimate = first.pixels.astype(np.float32)
+    flagged = 0
+    for frame in frames:
+        estimate, expected = update_then_subtract(estimate, frame.pixels, DEFAULT_ALPHA,
+                                                  DEFAULT_THRESHOLD)
+        mask = model.subtract(frame).bits
+        assert np.array_equal(model.estimate, estimate)
+        assert np.count_nonzero(mask != expected) == 0
         flagged += int(expected.sum())
-    assert 0 < flagged < 100 * 36 * 48
+    assert flagged > 0
 
 
 def assert_steps_equal_reference(frames, alpha, threshold, dtype):
     model = BackgroundModel(frames[0], alpha=alpha, threshold=threshold)
     assert model.estimate.dtype == dtype
     estimate = frames[0].pixels.astype(dtype)
+    rescaled = mask_threshold(threshold, alpha, dtype)
     for frame in frames[1:]:
-        model.update(frame)
+        expected = subtract_bruteforce(frame.pixels, estimate, rescaled)
+        assert np.array_equal(model.subtract(frame).bits, expected)
         estimate = background_step_reference(estimate, frame.pixels, alpha)
         assert np.array_equal(model.estimate, estimate)
-        # 38 is exact in both dtypes, and so is a float32 difference of a
-        # uint8 and an estimate near 100: comparing in float64 agrees
-        expected = np.abs(frame.pixels.astype(np.float64) - estimate) > threshold
-        assert np.array_equal(model.subtract(frame).bits, expected)
     return model
 
 
@@ -233,9 +296,12 @@ def test_step_edge_clears_mask_at_small_alpha(alpha, threshold, dtype):
 
 
 def test_subtract_threshold_float32_cannot_hold(rng):
-    # float32(25.1) lies above 25.1: a difference equal to it is foreground
-    # and one float32 spacing below it is not
-    spaced = (np.float32(25.1).view(np.int32) + np.arange(-4, 5, dtype=np.int32))
+    # the mask's threshold 25.1 / (1 - 0.02) rounds up to float32: a
+    # difference equal to the rounded value is foreground and one float32
+    # spacing below it is not
+    quotient = 25.1 / (1 - 0.02)
+    assert float(np.float32(quotient)) > quotient
+    spaced = (np.float32(quotient).view(np.int32) + np.arange(-4, 5, dtype=np.int32))
     diffs = spaced.view(np.float32)
     # the estimate lies below the frame in the first half and above it in the
     # second, each differing from it by exactly one of ``diffs``
@@ -244,38 +310,40 @@ def test_subtract_threshold_float32_cannot_hold(rng):
     model.estimate[0] = np.concatenate([np.float32(50) - diffs, diffs])
     mask = model.subtract(make_frame(pixels)).bits
     assert np.array_equal(mask[0], np.tile(np.arange(-4, 5) >= 0, 2))
-    # and on noise: the float64 comparison of the float32 differences
+    # and on noise: the float64 comparison of the float32 differences with
+    # the unrounded quotient
     frames = list(noise_frames(rng, 40))
     model = BackgroundModel(frames[0], alpha=0.02, threshold=25.1)
+    estimate = frames[0].pixels.astype(np.float32)
     for frame in frames[1:]:
-        model.update(frame)
-        diff = np.abs(frame.pixels.astype(np.float32) - model.estimate)
-        expected = diff.astype(np.float64) > 25.1
+        diff = np.abs(frame.pixels.astype(np.float32) - estimate)
+        expected = diff.astype(np.float64) > quotient
         assert np.array_equal(model.subtract(frame).bits, expected)
+        estimate = background_step_reference(estimate, frame.pixels, 0.02)
+        assert np.array_equal(model.estimate, estimate)
 
 
 def test_subtract_masks_share_no_memory_and_frames_stay_untouched(rng):
     first, second, third = noise_frames(rng, 3)
     model = BackgroundModel(first, threshold=20.0)
     kept = [f.pixels.copy() for f in (second, third)]
-    model.update(second)
     mask_a = model.subtract(second).words
     snapshot = mask_a.copy()
-    model.update(third)
     mask_b = model.subtract(third).words
-    owned = (model.estimate, model._scratch)
+    owned = (model.estimate, model._scratch, model._magnitude)
     for mask in (mask_a, mask_b):
         for array in owned:
             assert not np.shares_memory(mask, array)
     assert not np.shares_memory(mask_a, mask_b)
-    assert not np.shares_memory(*owned)
+    for pair in itertools.combinations(owned, 2):
+        assert not np.shares_memory(*pair)
     assert np.array_equal(mask_a, snapshot)
     assert np.array_equal(second.pixels, kept[0])
     assert np.array_equal(third.pixels, kept[1])
 
 
 def test_update_and_subtract_allocate_no_float_frame(rng):
-    # both steps work in the model's one-block scratch buffer: update may
+    # both steps work in the model's one-block scratch buffers: update may
     # allocate no more than numpy's fixed-size casting buffer (64 kB), and
     # subtract that beside two arrays the size of its packed mask (11 words
     # per 640-pixel row), one of bytes and one of words; a block of booleans
@@ -326,9 +394,10 @@ def test_subtract_and_open_leave_every_pad_bit_zero(rng, width):
               make_frame(rng.integers(0, 256, shape)),
               make_frame(np.where(rng.random(shape) < 0.9, 255, 0))]
     for frame in frames:
+        expected = subtract_bruteforce(frame.pixels, model.estimate,
+                                       mask_threshold(20.0, DEFAULT_ALPHA))
         mask = model.subtract(frame)
         assert not packed_columns(mask)[:, width:].any()
-        expected = subtract_bruteforce(frame.pixels, model.estimate, 20.0)
         assert np.array_equal(mask.bits, expected)
         for radius in (1, 2):
             opened = morph_open(mask, radius)

@@ -2,17 +2,19 @@ import dataclasses
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from headcount import (ActorSpec, BlobFilterParams, CountingPipeline, Direction,
                        LinePair, PipelineConfig, SceneSpec, Tracker, TrackerConfig,
                        advance, apply_event, detect_blobs, ground_truth_events,
                        morph_open, render_frame, render_scene, run)
-from headcount.background import BackgroundModel
+from headcount.background import DEFAULT_ALPHA, BackgroundModel
 from headcount.counting import Counters, CrossEvent
 from headcount.errors import ConfigError, EmptySequence, OrderError, ShapeError
 
 from conftest import uniform_frame
+from oracles import background_step_reference
 
 LINES = LinePair(60, 100)
 
@@ -82,14 +84,17 @@ def test_pipeline_equals_manual_stage_composition():
     events = []
     for frame in render_scene(scene):
         returned = pipeline.process_frame(frame)
-        if model is None:
+        # frame 0 seeds the estimate; each later frame steps it once, by
+        # update during warmup and by subtract, which masks it first, after
+        if frame.index == 0:
             model = BackgroundModel(frame, cfg.alpha, cfg.threshold)
-        else:
-            model.update(frame)
         if frame.index < cfg.warmup:
+            if frame.index > 0:
+                model.update(frame)
             assert returned == []
             continue
         mask = model.subtract(frame)
+        assert np.array_equal(pipeline._model.estimate, model.estimate)
         mask = morph_open(mask, cfg.morph_radius)
         keypoints = detect_blobs(mask, cfg.blob, cfg.connectivity)
         assert returned == keypoints
@@ -104,6 +109,22 @@ def test_pipeline_equals_manual_stage_composition():
 
     assert counters == report.counters == pipeline.counters
     assert events == report.events == pipeline.events
+
+
+@pytest.mark.parametrize("warmup", [0, 1, 30])
+def test_each_frame_steps_the_estimate_once(warmup):
+    # after N frames the estimate is frame 0 stepped by frames 1 .. N-1, each
+    # once, on either side of the end of warmup
+    scene = crossing_scene(n_down=1, n_up=1, frames=60)
+    pipeline = CountingPipeline(config(warmup=warmup))
+    estimate = None
+    for frame in render_scene(scene):
+        pipeline.process_frame(frame)
+        if estimate is None:
+            estimate = frame.pixels.astype(np.float32)
+        else:
+            estimate = background_step_reference(estimate, frame.pixels, DEFAULT_ALPHA)
+        assert np.array_equal(pipeline._model.estimate, estimate), frame.index
 
 
 @pytest.mark.parametrize("gap", [0, 5])
