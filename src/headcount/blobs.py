@@ -11,11 +11,13 @@ component of every run) and the touching pairs are the labeling: no
 per-pixel label image is ever built. A frame's candidate components are
 measured together, in a fixed number of array passes over their runs and
 pairs alone: area, centroid and second moments from exact power sums, the
-boundary length from the column overlaps of each touching pair, the convex
-hull from the outermost pixels of each row. Components are scored with the
+boundary length from the column overlaps of each touching pair, the bounding
+box and the outermost pixels of each row. Components are scored with the
 usual shape metrics (circularity, convexity, inertia ratio) and filtered to
-the round compact blobs a head produces. Coordinates are (x, y) with x the
-column and y the row.
+the round compact blobs a head produces. The convex hull, built from the
+rows' outermost pixels, lies inside the bounding box, so the box settles
+convexity for most components and the hull is built only for those it
+leaves open. Coordinates are (x, y) with x the column and y the row.
 """
 
 from __future__ import annotations
@@ -58,17 +60,25 @@ class ComponentLabels:
 class BlobMeasurements:
     """Raw geometry of one component.
 
-    ``perimeter`` is a boundary-length estimate, ``hull_area`` counts the
-    pixels covered by the convex hull of the component (0 when the component
-    is too small or collinear to span a hull), ``second_moments`` are the
-    central (co)variances (mxx, myy, mxy) of the pixel coordinates.
+    ``perimeter`` is a boundary-length estimate, ``second_moments`` are the
+    central (co)variances (mxx, myy, mxy) of the pixel coordinates, ``box``
+    the (width, height) of the bounding box in pixels, and ``row_ends`` the
+    first and last column of each row, top to bottom. ``hull_area``, the
+    pixels covered by the convex hull (0 when the component is too small or
+    collinear to span a hull), is built from ``row_ends`` each time it is
+    read.
     """
 
     area: int
     perimeter: float
     centroid: tuple[float, float]
-    hull_area: float
     second_moments: tuple[float, float, float]
+    box: tuple[int, int]
+    row_ends: tuple[list[int], list[int]]
+
+    @property
+    def hull_area(self) -> float:
+        return float(_hull_pixel_count(*self.row_ends))
 
 
 @dataclass(frozen=True)
@@ -221,15 +231,19 @@ def _power_sums(yse: np.ndarray, first: np.ndarray) -> list[list]:
 def measure(labels: ComponentLabels, component_ids) -> list[BlobMeasurements]:
     """Measure the given components together, in one pass over runs and pairs.
 
-    ``component_ids`` must be ascending and distinct, each in 1..count, as
-    ``detect_blobs`` passes them; returns one BlobMeasurements per id, in
-    that order. Raises NotFound for any other ids.
+    ``component_ids`` must be integers (not bools), ascending and distinct,
+    each in 1..count, as ``detect_blobs`` passes them; returns one
+    BlobMeasurements per id, in that order. Raises NotFound for any other
+    ids. The hull is not built here; see ``BlobMeasurements.hull_area``.
     """
-    ids = np.asarray(component_ids, dtype=np.int64).tolist()
+    ids = (component_ids.tolist() if isinstance(component_ids, np.ndarray)
+           else list(component_ids))
     if not ids:
         return []
-    if ids[0] < 1 or ids[-1] > labels.count or any(b <= a for a, b in zip(ids, ids[1:])):
-        raise NotFound(f"ids {quote(ids)} not ascending in 1..{labels.count}")
+    if (not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ids)
+            or ids[0] < 1 or ids[-1] > labels.count
+            or any(b <= a for a, b in zip(ids, ids[1:]))):
+        raise NotFound(f"ids {quote(ids)} not ascending integers in 1..{labels.count}")
     comp_ids = np.array(ids)
     wanted = np.zeros(labels.count + 1, dtype=bool)
     wanted[comp_ids] = True
@@ -282,7 +296,8 @@ def measure(labels: ComponentLabels, component_ids) -> list[BlobMeasurements]:
         n_h = 2 * (run_bounds[i + 1] - run_bounds[i])
         n_v = 2 * area - 2 * straight
         n_d = 4 * area - 2 * (left + right)
-        rows = slice(row_bounds[i], row_bounds[i + 1])
+        top, bottom = row_bounds[i], row_bounds[i + 1]
+        row_left, row_right = lefts[top:bottom], rights[top:bottom]
         # central moments as one exact integer ratio each: n*S_xy - S_x*S_y over n^2
         nn = area * area
         out.append(BlobMeasurements(
@@ -290,10 +305,11 @@ def measure(labels: ComponentLabels, component_ids) -> list[BlobMeasurements]:
             perimeter=math.pi / 8.0 * (n_h + n_v + n_d / _SQRT2),
             # one rounding of the exact coordinate sum, as a mean over pixels gives
             centroid=(sx / area, sy / area),
-            hull_area=float(_hull_pixel_count(lefts[rows], rights[rows])),
             second_moments=((area * sxx - sx * sx) / nn,
                             (area * syy - sy * sy) / nn,
                             (area * sxy - sx * sy) / nn),
+            box=(max(row_right) - min(row_left) + 1, bottom - top),
+            row_ends=(row_left, row_right),
         ))
     return out
 
@@ -307,9 +323,10 @@ def circularity(m: BlobMeasurements) -> float:
 
 def convexity(m: BlobMeasurements) -> float:
     """area / hull_area, in (0, 1]; hulls are degenerate for collinear blobs."""
-    if m.hull_area <= 0.0:
+    hull_area = m.hull_area
+    if hull_area <= 0.0:
         raise DegenerateBlob("convex hull is degenerate (collinear blob)")
-    return m.area / m.hull_area
+    return m.area / hull_area
 
 
 def inertia_ratio(m: BlobMeasurements) -> float:
@@ -336,6 +353,8 @@ def detect_blobs(mask: BinaryMask, params: Optional[BlobFilterParams] = None,
 
     Components whose shape metrics are undefined (single pixels, one-pixel
     lines) are never emitted. Output order follows component label order.
+    A component that passes circularity and inertia builds its convex hull
+    only if its bounding box leaves convexity open.
     """
     if params is None:
         params = BlobFilterParams()
@@ -351,10 +370,16 @@ def detect_blobs(mask: BinaryMask, params: Optional[BlobFilterParams] = None,
         return []
     keypoints = []
     for m in measure(labels, candidates):
+        width, height = m.box
         try:  # the first score below its bound rejects; undefined ones too
+            # the hull lies in the box, so area / box pixels is at most the
+            # convexity, unless the component is collinear: one row, one
+            # column or a diagonal line, which meets each row and column once
             if (circularity(m) < params.min_circularity
-                    or convexity(m) < params.min_convexity
-                    or inertia_ratio(m) < params.min_inertia):
+                    or inertia_ratio(m) < params.min_inertia
+                    or not (1 < min(width, height) < m.area
+                            and m.area / (width * height) >= params.min_convexity)
+                    and convexity(m) < params.min_convexity):
                 continue
         except DegenerateBlob:
             continue

@@ -12,10 +12,9 @@ between the two is meaningful.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
-
-from headcount import BlobMeasurements
 
 
 def flood_fill_labels(bits: np.ndarray, connectivity: int) -> np.ndarray:
@@ -298,10 +297,23 @@ def label_image(labels, shape: tuple[int, int]) -> np.ndarray:
     return np.cumsum(delta[:-1], dtype=np.int32).reshape(h, w)
 
 
-def measure_fullframe(labels, component_id: int) -> BlobMeasurements:
+@dataclass(frozen=True)
+class FullframeMeasurements:
+    """The fields of ``BlobMeasurements`` that the shape filters read, with
+    ``hull_area`` taken once, over every pixel."""
+
+    area: int
+    perimeter: float
+    centroid: tuple
+    hull_area: float
+    second_moments: tuple
+    box: tuple
+
+
+def measure_fullframe(labels, component_id: int) -> FullframeMeasurements:
     """Measure one component by scanning the whole painted label image (of
-    the smallest frame that holds every run) and taking float means and the
-    hull over every one of its pixels."""
+    the smallest frame that holds every run) and taking float means, the
+    extent and the hull over every one of its pixels."""
     image = label_image(labels, (int(labels.srow.max()) + 1, int(labels.ecol.max())))
     ys, xs = np.nonzero(image == component_id)
     area = len(xs)
@@ -311,13 +323,14 @@ def measure_fullframe(labels, component_id: int) -> BlobMeasurements:
     # float sums of integers stay exact, so the means are correctly rounded
     dx = xs - float(xs.sum()) / area
     dy = ys - float(ys.sum()) / area
-    return BlobMeasurements(
+    return FullframeMeasurements(
         area=area,
         perimeter=perimeter,
         centroid=(float(xs.sum()) / area, float(ys.sum()) / area),
         hull_area=float(hull_pixel_count(list(zip(xs.tolist(), ys.tolist())))),
         second_moments=(float(dx @ dx) / area, float(dy @ dy) / area,
                         float(dx @ dy) / area),
+        box=(int(x1 - x0) + 1, int(y1 - y0) + 1),
     )
 
 

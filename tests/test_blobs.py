@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from headcount import (BinaryMask, BlobFilterParams, BlobMeasurements, LinePair,
-                       PipelineConfig, circularity, convexity, detect_blobs,
+from headcount import (BinaryMask, BlobFilterParams, BlobKeypoint, BlobMeasurements,
+                       LinePair, PipelineConfig, circularity, convexity, detect_blobs,
                        inertia_ratio, label_components, measure)
 from headcount.errors import ConfigError, DegenerateBlob, NotFound
 
@@ -228,6 +228,16 @@ def test_measure_invalid_id():
                         (three, [1, 2, 2]), (three, [2, 4])):
         with pytest.raises(NotFound):
             measure(labels, ids)
+    # ids that are not integers, though each would convert to a valid one
+    for labels, ids in ((one, [1.5]), (one, [1.0]), (one, [True]), (one, ["1"]),
+                        (three, [1, 2.0]), (three, [1, True]), (three, [np.float64(1)]),
+                        (three, np.array([1.0, 2.0])), (three, np.array([True])),
+                        (three, [np.True_])):
+        with pytest.raises(NotFound):
+            measure(labels, ids)
+    # integers of any integer type are ids
+    assert [m.area for m in measure(three, [np.int64(1), np.uint8(3)])] == [1, 3]
+    assert [m.area for m in measure(three, np.array([2], dtype=np.int32))] == [2]
 
 
 # ------------------------------------------- run-based measure vs oracle
@@ -235,6 +245,7 @@ def test_measure_invalid_id():
 def assert_same_measurements(got, want):
     assert got.area == want.area
     assert got.perimeter == want.perimeter
+    assert got.box == want.box
     assert got.hull_area == want.hull_area
     assert got.centroid == want.centroid
     scale = max(want.second_moments[0], want.second_moments[1])
@@ -480,27 +491,29 @@ def test_label_image_is_painted_from_runs_on_demand(rng):
 
 # ------------------------------------------------------------ shape metrics
 
+def outline(area, perimeter):
+    """Measurements with the given area and perimeter; the rest is unread."""
+    return BlobMeasurements(area=area, perimeter=perimeter, centroid=(0, 0),
+                            second_moments=(1, 1, 0), box=(1, 1), row_ends=([0], [0]))
+
+
 def test_circularity_ideal_circle_is_one():
     r = 6.0
-    m = BlobMeasurements(area=int(math.pi * r * r), perimeter=2 * math.pi * r,
-                         centroid=(0, 0), hull_area=1.0, second_moments=(1, 1, 0))
+    m = outline(int(math.pi * r * r), 2 * math.pi * r)
     # feed the continuous-circle identity through the formula directly
     assert circularity(m) == pytest.approx(4 * math.pi * m.area / m.perimeter ** 2)
-    exact = BlobMeasurements(area=100, perimeter=2 * math.sqrt(100 * math.pi),
-                             centroid=(0, 0), hull_area=1.0, second_moments=(1, 1, 0))
+    exact = outline(100, 2 * math.sqrt(100 * math.pi))
     assert circularity(exact) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_circularity_ideal_square():
     k = 9
-    m = BlobMeasurements(area=k * k, perimeter=4.0 * k, centroid=(0, 0),
-                         hull_area=1.0, second_moments=(1, 1, 0))
+    m = outline(k * k, 4.0 * k)
     assert circularity(m) == pytest.approx(math.pi / 4.0, abs=1e-12)
 
 
 def test_circularity_zero_perimeter():
-    m = BlobMeasurements(area=1, perimeter=0.0, centroid=(0, 0), hull_area=1.0,
-                         second_moments=(0, 0, 0))
+    m = outline(1, 0.0)
     with pytest.raises(DegenerateBlob):
         circularity(m)
 
@@ -710,6 +723,141 @@ def test_translation_invariance():
     for a, b in zip(measure(labels_a, [1, 2]), measure(labels_b, [1, 2])):
         for score in (circularity, convexity, inertia_ratio):
             assert score(b) == score(a)
+
+
+# ------------------------------------------- convexity settled by the box
+
+CONVEXITY_BOUNDS = (0.0, 0.5, 0.7, math.pi / 4, 0.8, 0.95, 1.0)
+
+
+def filter_params():
+    """Every min_convexity above, with the other two shape filters off and
+    at their defaults; any area passes."""
+    defaults = BlobFilterParams()
+    return [relaxed(min_convexity=c, **other) for c in CONVEXITY_BOUNDS
+            for other in ({}, {"min_circularity": defaults.min_circularity,
+                               "min_inertia": defaults.min_inertia})]
+
+
+def filter_hull_always(measured, params, max_area):
+    """The three shape filters on the every-pixel oracle's measurements, the
+    hull built for every candidate, in the order circularity, convexity,
+    inertia; returns the keypoints and how many candidates passed the
+    circularity and inertia filters."""
+    keypoints, reached_convexity = [], 0
+    for m in measured:
+        if not params.min_area <= m.area <= max_area:
+            continue
+        try:
+            reached_convexity += (circularity(m) >= params.min_circularity
+                                  and inertia_ratio(m) >= params.min_inertia)
+        except DegenerateBlob:
+            pass
+        try:
+            if (circularity(m) < params.min_circularity
+                    or convexity(m) < params.min_convexity
+                    or inertia_ratio(m) < params.min_inertia):
+                continue
+        except DegenerateBlob:
+            continue
+        keypoints.append(BlobKeypoint(m.centroid, 2.0 * math.sqrt(m.area / math.pi)))
+    return keypoints, reached_convexity
+
+
+def count_hulls(monkeypatch):
+    """Patch in a hull that records the rows of every component it is built
+    for, in the list returned."""
+    hull, calls = headcount.blobs._hull_pixel_count, []
+
+    def counted(lefts, rights):
+        calls.append(len(lefts))
+        return hull(lefts, rights)
+
+    monkeypatch.setattr(headcount.blobs, "_hull_pixel_count", counted)
+    return calls
+
+
+def assert_box_bound_is_exact(monkeypatch, bits, connectivity=8):
+    """detect_blobs gives the hull-always keypoints under every filter set;
+    returns how many hulls it built and how many candidates reached the
+    convexity filter."""
+    mask = mask_of(bits)
+    labels = label_components(mask, connectivity)
+    measured = [measure_fullframe(labels, cid) for cid in range(1, labels.count + 1)]
+    reached = 0
+    with monkeypatch.context() as patch:
+        hulls = count_hulls(patch)
+        for params in filter_params():
+            want, n = filter_hull_always(measured, params, mask.width * mask.height // 4)
+            assert_same_keypoints(detect_blobs(mask, params, connectivity), want)
+            reached += n
+    return len(hulls), reached
+
+
+def test_box_bound_agrees_with_the_hull_on_random_masks(monkeypatch, rng):
+    built = reached = 0
+    for _ in range(60):
+        bits = rng.random((24, 24)) < rng.uniform(0.2, 0.8)
+        for conn in (4, 8):
+            b, r = assert_box_bound_is_exact(monkeypatch, bits, conn)
+            built, reached = built + b, reached + r
+    yy, xx = np.ogrid[:48, :48]
+    for _ in range(60):  # disks and ellipses, whose bound sits near the hull's
+        bits = np.zeros((48, 48), dtype=bool)
+        for _ in range(4):
+            cx, cy, rx, ry = rng.uniform(0, 48), rng.uniform(0, 48), *rng.uniform(1, 12, 2)
+            bits |= ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1
+        b, r = assert_box_bound_is_exact(monkeypatch, bits)
+        built, reached = built + b, reached + r
+    # the box settled some candidates and left others to the hull
+    assert 0 < built < reached
+
+
+def test_box_bound_agrees_with_the_hull_on_drawn_shapes(monkeypatch):
+    shapes = {"row": np.ones((1, 5), dtype=bool), "column": np.ones((4, 1), dtype=bool),
+              "block": np.ones((2, 2), dtype=bool)}
+    for n in range(2, 21):
+        # a diagonal line meets each row and column once: its box ratio is
+        # 1/n, yet it spans no hull
+        shapes[f"diagonal{n}"] = np.eye(n, dtype=bool)
+        shapes[f"antidiagonal{n}"] = np.eye(n, dtype=bool)[::-1]
+    for name, shape in shapes.items():
+        bits = np.pad(shape, 2 * max(shape.shape))
+        built, reached = assert_box_bound_is_exact(monkeypatch, bits)
+        labels = label_components(mask_of(bits), 8)
+        assert labels.count == 1
+        if name == "block":  # convexity 1, settled by the box every time
+            assert built == 0 and reached == len(filter_params())
+            assert len(detect_blobs(mask_of(bits), relaxed(min_convexity=1.0))) == 1
+        else:  # collinear: the hull is built, and rejects
+            assert built == reached
+            assert detect_blobs(mask_of(bits), relaxed()) == []
+
+
+def test_head_sized_disks_build_no_hull(monkeypatch):
+    # a rasterized disk's box ratio is below pi/4: 0.662-0.682 for radii 5
+    # to 8, 0.701 at 9 (the bench's head radius) and 0.748 at 20, so the box
+    # settles the default min_convexity 0.7 from radius 9 up
+    def no_hull(lefts, rights):
+        raise AssertionError("convex hull built")
+
+    monkeypatch.setattr(headcount.blobs, "_hull_pixel_count", no_hull)
+    for radius in range(9, 21):
+        mask = BinaryMask(disk_mask(radius, pad=radius))
+        keypoints = detect_blobs(mask)
+        assert len(keypoints) == 1
+        area = disk_pixel_count(radius)
+        assert keypoints[0].diameter_s == 2.0 * math.sqrt(area / math.pi)
+
+
+def test_small_disks_and_tight_bounds_build_the_hull(monkeypatch):
+    calls = count_hulls(monkeypatch)
+    cases = [(radius, BlobFilterParams()) for radius in range(5, 9)]
+    cases += [(radius, BlobFilterParams(min_convexity=0.9)) for radius in range(5, 21)]
+    for radius, params in cases:
+        calls.clear()
+        assert len(detect_blobs(BinaryMask(disk_mask(radius, pad=radius)), params)) == 1
+        assert calls == [2 * radius + 1]
 
 
 def test_filter_params_validation():
