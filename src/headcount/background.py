@@ -34,6 +34,7 @@ from .frame_io import Frame
 
 DEFAULT_ALPHA = 0.02
 DEFAULT_THRESHOLD = 25.0
+DEFAULT_MORPH_RADIUS = 1
 # pixels per block of rows in a per-frame step: a block is
 # max(1, BLOCK_PIXELS // width) rows, 51 at 640 wide (128 kB of float32)
 BLOCK_PIXELS = 2**15
@@ -266,7 +267,7 @@ def _step(words: np.ndarray, combine) -> np.ndarray:
     return out
 
 
-def morph_open(mask: BinaryMask, radius: int = 1) -> BinaryMask:
+def morph_open(mask: BinaryMask, radius: int = DEFAULT_MORPH_RADIUS) -> BinaryMask:
     """Morphological opening (erosion then dilation) with a square
     (2*radius+1)^2 structuring element; removes speckle noise smaller than
     the element while preserving larger solid regions.

@@ -31,6 +31,7 @@ import numpy as np
 from .background import BinaryMask
 from .errors import ConfigError, DegenerateBlob, NotFound, quote
 
+DEFAULT_CONNECTIVITY = 8
 _SQRT2 = math.sqrt(2.0)
 _SHIFTS = np.array([-1, 0, 1]).reshape(3, 1)
 
@@ -120,7 +121,8 @@ def check_connectivity(connectivity: int) -> None:
         raise ConfigError(f"connectivity must be 4 or 8, got {quote(connectivity)}")
 
 
-def label_components(mask: BinaryMask, connectivity: int = 8) -> ComponentLabels:
+def label_components(mask: BinaryMask,
+                     connectivity: int = DEFAULT_CONNECTIVITY) -> ComponentLabels:
     """Label connected foreground regions.
 
     The mask is split into horizontal runs, read from its packed rows by
@@ -348,7 +350,7 @@ def inertia_ratio(m: BlobMeasurements) -> float:
 
 
 def detect_blobs(mask: BinaryMask, params: Optional[BlobFilterParams] = None,
-                 connectivity: int = 8) -> list[BlobKeypoint]:
+                 connectivity: int = DEFAULT_CONNECTIVITY) -> list[BlobKeypoint]:
     """Extract keypoints for every component passing all shape filters.
 
     Components whose shape metrics are undefined (single pixels, one-pixel

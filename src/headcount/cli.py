@@ -64,18 +64,6 @@ def _load_json(path, from_dict=dict):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _reader(from_dict):
-    """``from_dict`` that also reads the document's ``params``, if any, as
-    ``count`` writes them: a report's, or those of a truth document that is
-    a report."""
-    def read(doc):
-        result = from_dict(doc)
-        if doc.get("params"):
-            PipelineConfig.from_params(doc["params"])
-        return result
-    return read
-
-
 def _build_config(args) -> PipelineConfig:
     """The --config document, overlaid with every flag given, as a config."""
     params = _load_json(args.config) if args.config else {}
@@ -88,7 +76,7 @@ def _build_config(args) -> PipelineConfig:
 
 def cmd_count(args) -> int:
     config = _build_config(args)
-    truth = _load_json(args.truth, _reader(GroundTruth.from_dict)) if args.truth else None
+    truth = _load_json(args.truth, GroundTruth.from_dict) if args.truth else None
 
     spec = SequenceSpec(source=Path(args.input))
     if args.raw:
@@ -138,8 +126,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    report = _load_json(args.report, _reader(CountReport.from_dict))
-    truth = _load_json(args.truth, _reader(GroundTruth.from_dict))
+    report = _load_json(args.report, CountReport.from_dict)
+    truth = _load_json(args.truth, GroundTruth.from_dict)
     accuracies = CountReport(report.counters, ground_truth=truth).accuracies()
     print(json.dumps({key: round(value, 2) for key, value in accuracies.items()},
                      sort_keys=True))

@@ -124,7 +124,9 @@ class CountReport:
         consistent JSON integer and every stored accuracy the derived one.
         ``events`` and ``params`` may be absent. The events may be fewer than
         the counts, but tally no more IN or OUT, and no two share a frame and
-        track id, since a track is advanced once per frame."""
+        track id, since a track is advanced once per frame. Non-empty
+        ``params`` must be a valid ``--config`` document, as ``count`` writes."""
+        from .pipeline import PipelineConfig  # pipeline imports this module
         n_in, n_out, _ = _counts(json_object("report", doc, _KEYS), ("in", "out", "total"))
         events = [_event(e) for e in json_value("events", doc.get("events", []), list)]
         directions = [e.direction for e in events]
@@ -133,6 +135,8 @@ class CountReport:
         if len({(e.frame, e.track_id) for e in events}) < len(events):
             raise ConfigError("two events share a frame and track_id")
         params = json_value("params", doc.get("params", {}), dict)
+        if params:
+            PipelineConfig.from_params(params)
         has_truth = any(key in doc for key in (*GroundTruth.KEYS, *_ACCURACIES))
         truth = GroundTruth(*_counts(doc, GroundTruth.KEYS)) if has_truth else None
         report = cls(Counters(n_in, n_out), events, truth, params)

@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
-from .background import (DEFAULT_ALPHA, DEFAULT_THRESHOLD, BackgroundModel,
-                         check_params, morph_open)
-from .blobs import BlobFilterParams, BlobKeypoint, check_connectivity, detect_blobs
+from .background import (DEFAULT_ALPHA, DEFAULT_MORPH_RADIUS, DEFAULT_THRESHOLD,
+                         BackgroundModel, check_params, morph_open)
+from .blobs import (DEFAULT_CONNECTIVITY, BlobFilterParams, BlobKeypoint,
+                    check_connectivity, detect_blobs)
 from .counting import Counters, CrossEvent, LinePair, advance, apply_event
 from .errors import ConfigError, EmptySequence, OrderError, json_object, json_value
 from .frame_io import Frame
@@ -52,8 +53,8 @@ class PipelineConfig:
     alpha: float = DEFAULT_ALPHA
     threshold: float = DEFAULT_THRESHOLD
     warmup: int = 30
-    morph_radius: int = 1
-    connectivity: int = 8
+    morph_radius: int = DEFAULT_MORPH_RADIUS
+    connectivity: int = DEFAULT_CONNECTIVITY
     blob: BlobFilterParams = field(default_factory=BlobFilterParams)
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     invert_direction: bool = False

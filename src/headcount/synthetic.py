@@ -98,7 +98,9 @@ class SceneSpec:
         """The spec in ``doc``, read like a config file: an unknown scene or
         actor key is an error, and every field but the actors and an actor's
         start and velocity is a JSON integer; a JSON 2.5 or true would
-        otherwise reach range() or be truncated into the pixel array."""
+        otherwise reach range() or be truncated into the pixel array. A
+        spec file's ``lines`` is not a scene field: ``synth`` reads it and
+        passes it to ``ground_truth_events``, so ``doc`` must not hold it."""
         scene = _json_fields("scene", doc, cls, ("actors",))
         try:
             actors = [ActorSpec(**_json_fields("actor", actor, ActorSpec,

@@ -386,6 +386,14 @@ def test_mask_bits_round_trip_through_packed_rows(rng, width):
             assert mask.bits.dtype == np.bool_
 
 
+@pytest.mark.parametrize("bits", [np.zeros(8, dtype=bool), np.zeros((2, 3, 4), dtype=bool),
+                                  np.zeros((3, 4), dtype=np.uint8), np.zeros((3, 4))],
+                         ids=["1d", "3d", "uint8", "float64"])
+def test_mask_rejects_bits_not_2d_boolean(bits):
+    with pytest.raises(ValueError, match="2-D boolean"):
+        BinaryMask(bits)
+
+
 @pytest.mark.parametrize("width", [63, 64, 65, 127, 128, 129])
 def test_subtract_and_open_leave_every_pad_bit_zero(rng, width):
     shape = (9, width)

@@ -307,5 +307,12 @@ def test_annotate_centroid_out_of_bounds(tmp_path):
         write_annotated(frame, [kp], LinePair(4, 8), tmp_path / "ann.pgm")
 
 
+def test_annotate_lines_out_of_bounds(tmp_path):
+    frame = uniform_frame(16, 16, 0)
+    with pytest.raises(ValueError, match="counting lines"):
+        write_annotated(frame, [], LinePair(4, 16), tmp_path / "ann.pgm")
+    assert not (tmp_path / "ann.pgm").exists()
+
+
 def test_circle_points_radius_one():
     assert circle_points(1) == [(-1, 0), (0, -1), (0, 1), (1, 0)]

@@ -132,8 +132,8 @@ def report_doc(**changes):
     """A report document as ``count --truth`` writes it, with ``changes``."""
     counters, truth = Counters(in_count=3, out_count=1), GroundTruth(3, 2, 5)
     events = [CrossEvent(12, 0, Direction.IN), CrossEvent(19, 1, Direction.OUT)]
-    doc = CountReport(counters, events, truth, {"warmup": 30}).to_dict()
-    return {**doc, **changes}
+    params = {"lines": [100, 140], "warmup": 30}
+    return {**CountReport(counters, events, truth, params).to_dict(), **changes}
 
 
 def without(doc, *keys):
@@ -165,6 +165,10 @@ BAD_REPORTS = {
                                                    "direction": "IN"}]),
     "events_not_a_list": report_doc(events={"frame": 3}),
     "params_not_an_object": report_doc(params=[1, 2]),
+    # non-empty params must be a valid --config document, as count writes them
+    "params_unknown_key": report_doc(params={"lines": [100, 140], "alpah": 0.5}),
+    "params_out_of_range": report_doc(params={"lines": [100, 140], "alpha": 5}),
+    "params_without_lines": report_doc(params={"warmup": 30}),
     # a misspelled key, with and without truth
     "unknown_key": {"in": 1, "out": 0, "total": 1, "evnts": []},
     "unknown_key_with_truth": report_doc(tc_acuracy=100.0),
@@ -200,6 +204,17 @@ def test_report_from_dict_inverts_to_dict(truth):
 def test_report_events_and_params_may_be_absent():
     report = CountReport.from_dict({"in": 3, "out": 1, "total": 4})
     assert report == CountReport(Counters(in_count=3, out_count=1))
+
+
+@pytest.mark.parametrize("params", [{}, None], ids=["empty", "absent"])
+def test_report_empty_or_absent_params_need_no_lines(params):
+    doc = {"in": 3, "out": 1, "total": 4}
+    if params is not None:
+        doc["params"] = params
+    assert CountReport.from_dict(doc).params == {}
+    assert GroundTruth.from_dict({**doc, "true_in": 3, "true_out": 1, "true_total": 4,
+                                  "in_accuracy": 100.0, "out_accuracy": 100.0,
+                                  "tc_accuracy": 100.0}) == GroundTruth(3, 1, 4)
 
 
 def test_ground_truth_document_round_trip():
