@@ -204,17 +204,10 @@ def test_report_from_dict_inverts_to_dict(truth):
 def test_report_events_and_params_may_be_absent():
     report = CountReport.from_dict({"in": 3, "out": 1, "total": 4})
     assert report == CountReport(Counters(in_count=3, out_count=1))
-
-
-@pytest.mark.parametrize("params", [{}, None], ids=["empty", "absent"])
-def test_report_empty_or_absent_params_need_no_lines(params):
-    doc = {"in": 3, "out": 1, "total": 4}
-    if params is not None:
-        doc["params"] = params
-    assert CountReport.from_dict(doc).params == {}
-    assert GroundTruth.from_dict({**doc, "true_in": 3, "true_out": 1, "true_total": 4,
-                                  "in_accuracy": 100.0, "out_accuracy": 100.0,
-                                  "tc_accuracy": 100.0}) == GroundTruth(3, 1, 4)
+    # empty params, like absent ones, need no lines, in a report or a truth
+    assert CountReport.from_dict({"in": 3, "out": 1, "total": 4, "params": {}}) == report
+    assert GroundTruth.from_dict(report_doc(params={})) == GroundTruth(3, 2, 5)
+    assert GroundTruth.from_dict(without(report_doc(), "params")) == GroundTruth(3, 2, 5)
 
 
 def test_ground_truth_document_round_trip():
